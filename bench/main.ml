@@ -854,19 +854,17 @@ let throughput ~smoke ~record () =
            ("superblock_warm_instrs", Int sbw_instrs) ]);
     Printf.printf "  wrote %s\n%!" f
 
-(* ------------------------ certifier / elision ------------------------ *)
+(* ----------------------------- certifier ----------------------------- *)
 
-(* The static-analysis tier's two runtime handles: certification cost
-   (whole-image sweep over every formable superblock plan) and the
-   SMC-clean probe elision win. The headline gate is
-   [sim_mips_superblock] with the proven map installed — it must not
-   regress below BENCH_2's map-less superblock arm, since elision only
-   removes host-side probe work. Records BENCH_4.json. *)
+(* The static-analysis passes' cost — the whole-image certifier sweep
+   over every formable superblock plan and the abstract-interpretation
+   store classification — beside the superblock tier's throughput.
+   The headline gate is [sim_mips_superblock]. Records BENCH_4.json. *)
 let certifier_bench ~smoke ~record () =
   let cycles = if smoke then 1 else 8 in
   Printf.printf
-    "\n== translation certifier + SMC-clean probe elision (%d warm \
-     cycles per arm%s) ==\n%!"
+    "\n== translation certifier + abstract interpretation (%d warm \
+     cycles%s) ==\n%!"
     cycles
     (if smoke then ", smoke" else "");
   (* offline sweep: every plan the planner can form on the seed image *)
@@ -895,13 +893,10 @@ let certifier_bench ~smoke ~record () =
   Printf.printf "  absint:          %d clean ranges in %5.2f s\n%!"
     (List.length absr.Tk_analysis.Absint.a_clean_ranges)
     absint_wall;
-  (* runtime arms: superblock tier with and without the proven map *)
-  let arm ~elide label =
+  (* runtime arm: the superblock tier *)
+  let mips =
     let ark = Ark_run.create ~superblock:true () in
     let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
-    let e = ark.Ark_run.ark.Transkernel.Ark.engine in
-    if elide then
-      Tk_dbt.Engine.set_smc_map e absr.Tk_analysis.Absint.a_clean_ranges;
     let count () =
       soc.Soc.m3.Tk_machine.Core.instructions
       + soc.Soc.cpu.Tk_machine.Core.instructions
@@ -916,13 +911,10 @@ let certifier_bench ~smoke ~record () =
     let instrs = count () - j0 in
     let mips = float_of_int instrs /. wall /. 1e6 in
     Printf.printf
-      "  %-15s %9d sim instrs in %6.2f s -> %7.2f sim-MIPS (%d probes \
-       elided)\n%!"
-      label instrs wall mips e.Tk_dbt.Engine.probes_elided;
-    (mips, e.Tk_dbt.Engine.probes_elided)
+      "  superblock:      %9d sim instrs in %6.2f s -> %7.2f sim-MIPS\n%!"
+      instrs wall mips;
+    mips
   in
-  let mips_off, _ = arm ~elide:false "sb probes:" in
-  let mips_on, elided = arm ~elide:true "sb elided:" in
   let file =
     match record with
     | Some f -> Some f
@@ -938,10 +930,7 @@ let certifier_bench ~smoke ~record () =
          [ ("schema", Str "arksim-certify-bench-v1");
            ( "meta",
              Obj [ ("git_rev", Str (git_rev ())); ("cycles", Int cycles) ] );
-           ("sim_mips_superblock", Num mips_on);
-           ("sim_mips_superblock_noelide", Num mips_off);
-           ("probe_elision_speedup", Num (mips_on /. mips_off));
-           ("probes_elided", Int elided);
+           ("sim_mips_superblock", Num mips);
            ("certified_plans", Int cert.Tk_analysis.Certify.r_plans);
            ("certified_states", Int cert.Tk_analysis.Certify.r_states);
            ("divergent_plans", Int cert.Tk_analysis.Certify.r_divergent);

@@ -1,31 +1,14 @@
 (** Whole-image abstract interpretation for SMC-clean region proof.
 
-    The superblock engine probes every guest store that lands in the
-    kernel-image window against its per-word cover map, because a store
-    into translated code must invalidate the cache (self-modifying
-    code). That probe is pure overhead for the overwhelming majority of
-    kernel code, which only ever writes to its data section, the stack,
-    the page pool or MMIO. This pass proves it: a light abstract
-    interpretation over the recovered {!Cfg} classifies every store's
-    target and marks a guest {e word} SMC-clean when its instruction
-    cannot write into the image's code section — the only place
-    translated guest words live (functions also get an aggregate
-    verdict, for reporting). The merged ranges of clean words form
-    the SMC-clean map {!Tk_dbt.Engine.set_smc_map} consumes: host code
-    emitted entirely from clean guest words skips the per-word cover
-    probe on every image-window store.
-
-    Soundness argument: [probe_exempt] is keyed by the {e executing}
-    host word, i.e. by which guest code performs the store. A store
-    executed by clean code cannot hit the code section, hence cannot
-    hit a covered word, hence skipping its probe can never miss an
-    invalidation — regardless of where unclean code or the cover map
-    evolve. Self-modifying code is, by construction, unclean (its store
-    targets the code section), so SMC detection is preserved: the first
-    modifying store always executes from un-exempt host code, and the
-    engine drops the map with the cache on flush. The map's contract
-    covers images whose code section is the only executed region (the
-    engine would fall back on undecodable data words anyway).
+    A light abstract interpretation over the recovered {!Cfg}
+    classifies every store's target and marks a guest {e word}
+    SMC-clean when its instruction cannot write into the image's code
+    section — the only place translated guest words live (functions
+    also get an aggregate verdict). Self-modifying code is, by
+    construction, unclean: its store targets the code section. The
+    report (store-target histogram, verdicts, merged clean ranges) is
+    surfaced by [arksim analyze --absint]; the superblock engine's
+    store-invalidation probe does not consult it.
 
     Abstract domain, deliberately minimal (registers only, one basic
     block at a time, no widening needed because there are no loops
@@ -162,15 +145,12 @@ type report = {
   a_clean : int;
   a_hist : (string * int) list;  (** store-target histogram, whole image *)
   a_clean_ranges : (int * int) list;
-      (** merged [\[lo, hi)] guest ranges of clean {e words} — feed to
-          {!Tk_dbt.Engine.set_smc_map}. Word-granular, not
-          function-granular: a word is clean iff its instruction either
-          performs no store or its store target is provably outside the
-          code section. Sound because the engine's probe exemption is
-          keyed by the executing host word and requires {e every} guest
-          word of a translated span to be clean — so one pointer-chased
-          store only disqualifies the translation blocks that contain
-          it, not its whole function. *)
+      (** merged [\[lo, hi)] guest ranges of clean {e words}.
+          Word-granular, not function-granular: a word is clean iff its
+          instruction either performs no store or its store target is
+          provably outside the code section — so one pointer-chased
+          store only disqualifies its own word, not its whole
+          function. *)
   a_max_frame : int;
   findings : Finding.t list;
 }

@@ -1,12 +1,11 @@
 (** Whole-image abstract interpretation proving SMC-clean regions: a
     light interval/stack-relative domain over the recovered {!Cfg}
     classifies every store's target; guest words whose instruction
-    cannot write into the image's code section are {e SMC-clean}. The
-    merged clean ranges feed {!Tk_dbt.Engine.set_smc_map}, letting the
-    superblock tier skip the per-word store-invalidation probe for code
-    emitted entirely from clean words — soundly, because a clean store
-    can never hit a covered (translated) word, and self-modifying code
-    is by construction unclean. *)
+    cannot write into the image's code section are {e SMC-clean}, and
+    self-modifying code is by construction unclean. [arksim analyze
+    --absint] reports the store-target census, per-function verdicts
+    and the merged clean ranges; the engine does not consume them (its
+    store-invalidation probe runs on every image-window store). *)
 
 open Tk_isa
 open Tk_isa.Types
@@ -55,10 +54,9 @@ type report = {
   a_clean : int;
   a_hist : (string * int) list;  (** store-target histogram, whole image *)
   a_clean_ranges : (int * int) list;
-      (** merged [\[lo, hi)] guest ranges of clean {e words} — feed to
-          {!Tk_dbt.Engine.set_smc_map}. Word-granular: one
-          pointer-chased store only disqualifies the translation blocks
-          containing it, not its whole function. *)
+      (** merged [\[lo, hi)] guest ranges of clean {e words}.
+          Word-granular: one pointer-chased store only disqualifies its
+          own word, not its whole function. *)
   a_max_frame : int;
   findings : Finding.t list;
 }

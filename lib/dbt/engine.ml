@@ -5,7 +5,9 @@
     direct-branch patching ("chaining"), and the host execution loop —
     a V7M interpreter charged against the M3 core model, fetching emitted
     words through the M3's 32 KB cache (whose thrashing is the DRAM story
-    of §7.3).
+    of §7.3). Every tier runs the same loop; the superblock tier only
+    adds work at block boundaries (trace formation, flushes after guest
+    self-modification) and fused macro-op issue.
 
     The engine is policy-free: ARK (the [transkernel] library) supplies
     callbacks for emulated services, hooks, guest hypercalls, interrupt
@@ -35,8 +37,9 @@ exception Host_error of string
 
 exception Quantum
 (** The M3 clock reached [deadline_ns] (bounded-quantum lockstep): the
-    run loop unwound at an instruction boundary with the context's pc
-    saved, so a later [run] with the same cpu resumes exactly where it
+    run loop unwound at its next loop-head probe (after a control
+    transfer or a callback pc override) with the context's pc saved,
+    so a later [run] with the same cpu resumes exactly where it
     stopped. Never raised while [deadline_ns = max_int] (the default). *)
 
 (** Distinguished not-yet-decoded marker for [host_decode] slots,
@@ -79,10 +82,8 @@ type t = {
   mutable block_limit : int;  (** guest instructions per block *)
   mutable irq_dispatch : bool;  (** ARK spinlock emulation pauses this *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** same host environment with flight-recorder emission on memory
-          accesses; the run loop selects it only while tracing is
-          enabled, keeping the disabled path free of trace branches *)
+      (** host memory environment; accesses emit to the flight recorder
+          only while it is enabled *)
   (* statistics *)
   mutable guest_translated : int;
   mutable host_emitted : int;
@@ -96,20 +97,23 @@ type t = {
           attribution gauge for the span tracer *)
   (* hot-block profiler (host-side observability; simulated charges are
      unaffected whether it is on or off) *)
-  mutable profile : bool;
+  mutable profile : bool;  (** count dispatch slow-path entries *)
   block_exec : int array;
       (** per-block execution count, same dense indexing as
-          [block_start]; bumped when the hot loop enters a block start *)
+          [block_start]; bumped whenever the run loop enters a block
+          start (the profiler's row counts and the superblock tier's
+          formation trigger) *)
   block_dispatch : (int, int) Hashtbl.t;
       (** host block start -> entries through the dispatch slow path
-          (i.e. not via a chained direct branch) *)
+          (i.e. not via a chained direct branch); only with [profile] *)
   block_size : (int, int * int) Hashtbl.t;
       (** host block start -> (guest instruction count, host words) *)
   (* superblock tier (above Ark; cycle-accounted, not cycle-neutral) *)
   mutable superblock : bool;
-      (** select the superblock run loop: trace formation over hot block
-          chains, macro-op fused execution, whole-trace invalidation.
-          Only meaningful with [mode = Ark]. *)
+      (** enable the superblock tier's boundary work in the run loop:
+          trace formation over hot block chains, macro-op fusion marks,
+          and the store-invalidation probe. Only meaningful with
+          [mode = Ark]. *)
   mutable sb_threshold : int;
       (** block executions before its chain is considered for formation *)
   mutable sb_max_blocks : int;  (** max constituent blocks per trace *)
@@ -138,27 +142,15 @@ type t = {
           that differs between them *)
   mutable invalidations : int;  (** covered words hit by guest stores *)
   mutable flushes : int;  (** whole-cache evictions performed *)
-  (* static-analysis products consumed by the tier (certify + absint) *)
+  (* static-analysis product consumed by the tier *)
   mutable sb_certify : (Superblock.plan -> bool) option;
       (** online trace certifier hook: a formed (or warm-loaded) plan is
           admitted only if the hook proves it equivalent to its
           constituent blocks; [None] (default) admits everything *)
   mutable certify_rejects : int;
       (** plans refused by [sb_certify] (warm or fresh) *)
-  mutable smc_map : Bytes.t option;
-      (** SMC-clean map, same per-guest-word indexing as [guest_cover]:
-          non-zero marks code proven (by whole-image abstract
-          interpretation) to never store into translated code ranges.
-          Derived from the {e pristine} image, so a whole-cache flush —
-          which only ever follows guest self-modification — drops it. *)
-  probe_exempt : bool array;
-      (** same dense host-word indexing as [host_decode]: translated
-          code emitted entirely from SMC-clean guest words; its stores
-          skip the cover-map probe *)
-  mutable probes_elided : int;
-      (** image-span stores that skipped the probe via [probe_exempt] *)
   mutable deadline_ns : int;
-      (** bounded-quantum lockstep: the run loops raise {!Quantum} at
+      (** bounded-quantum lockstep: the run loop raises {!Quantum} at
           the first resumable point once the M3 clock reaches this
           absolute time. [max_int] (default) = run to completion. The
           scheduler clears it around nested context runs (IRQ delivery,
@@ -211,7 +203,7 @@ let rec create ~(soc : Soc.t) ~mode () =
       block_start = Array.make (Soc.code_cache_size / 4) false;
       cur_pc = 0; pc_overridden = false;
       chain = true; block_limit = Translator.default_block_limit;
-      irq_dispatch = true; env = dummy_env; env_traced = dummy_env;
+      irq_dispatch = true; env = dummy_env;
       guest_translated = 0;
       host_emitted = 0; blocks = 0; engine_exits = 0; patches = 0;
       host_executed = 0; translate_cycles = 0; profile = false;
@@ -226,27 +218,33 @@ let rec create ~(soc : Soc.t) ~mode () =
       pending_flush = false; store = None;
       traces_formed = 0; fusions_applied = 0; cache_warm_hits = 0;
       invalidations = 0; flushes = 0;
-      sb_certify = None; certify_rejects = 0; smc_map = None;
-      probe_exempt = Array.make (Soc.code_cache_size / 4) false;
-      probes_elided = 0; deadline_ns = max_int; span_cut = -1 }
+      sb_certify = None; certify_rejects = 0; deadline_ns = max_int;
+      span_cut = -1 }
   in
   let m3 = soc.Soc.m3 in
   let mem = soc.Soc.mem in
-  (* the untraced closures are the seed's hot path, byte for byte: the
-     run loop only hands [env_traced] to the executor while the flight
-     recorder is enabled, so tracing costs nothing when it is off *)
+  (* flight-recorder emission is one branch on the recorder's enable
+     bit per access; emission never charges simulated cycles *)
   let load addr nbytes =
     if Soc.is_cpu_private addr then begin
+      (* gic-private accesses surface as controller events, not reads *)
       charge t cost_gic_fault;
       t.cb.on_gic_access ~write:false addr 0
     end
     else if Mem.in_ram mem addr then begin
-      Core.charge_stall m3 (Cache.access m3.Core.cache ~write:false addr);
+      let stall = Cache.access m3.Core.cache ~write:false addr in
+      Core.charge_stall m3 stall;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
+          Tk_stats.Trace.ev_read addr stall;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
+          Tk_stats.Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
       Mem.read mem addr nbytes
     end
   in
@@ -256,7 +254,11 @@ let rec create ~(soc : Soc.t) ~mode () =
       ignore (t.cb.on_gic_access ~write:true addr v)
     end
     else if Mem.in_ram mem addr then begin
-      Core.charge_stall m3 (Cache.access m3.Core.cache ~write:true addr);
+      let stall = Cache.access m3.Core.cache ~write:true addr in
+      Core.charge_stall m3 stall;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
+          Tk_stats.Trace.ev_write addr stall;
       if nbytes = 4 then Mem.ram_write32 mem addr v
       else Mem.ram_write mem addr nbytes v;
       (* superblock store-invalidation probe: host-only (no simulated
@@ -264,73 +266,18 @@ let rec create ~(soc : Soc.t) ~mode () =
          image-span gate is inline so the overwhelmingly common
          data-region store pays two compares, not a call; the widened
          lower bound covers a store whose tail word straddles into the
-         image. Stores issued from code proven SMC-clean (the executing
-         word is marked in [probe_exempt]) skip the probe entirely —
-         clean code cannot hit covered words by construction. *)
+         image. *)
       if
         t.superblock
         && addr + nbytes > Soc.kernel_base
         && addr < Soc.page_pool_base
-      then
-        if
-          Array.unsafe_get t.probe_exempt
-            ((t.cur_pc - Soc.code_cache_base) asr 2)
-        then t.probes_elided <- t.probes_elided + 1
-        else sb_store_check t addr nbytes
+      then sb_store_check t addr nbytes
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      Mem.write mem addr nbytes v
-    end
-  in
-  let load_traced addr nbytes =
-    if Soc.is_cpu_private addr then begin
-      (* gic-private accesses surface as controller events, not reads *)
-      charge t cost_gic_fault;
-      t.cb.on_gic_access ~write:false addr 0
-    end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:false addr in
-      Core.charge_stall m3 stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_read addr stall;
-      if nbytes = 4 then Mem.ram_read32 mem addr
-      else Mem.ram_read mem addr nbytes
-    end
-    else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
-      Mem.read mem addr nbytes
-    end
-  in
-  let store_traced addr nbytes v =
-    if Soc.is_cpu_private addr then begin
-      charge t cost_gic_fault;
-      ignore (t.cb.on_gic_access ~write:true addr v)
-    end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:true addr in
-      Core.charge_stall m3 stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_write addr stall;
-      if nbytes = 4 then Mem.ram_write32 mem addr v
-      else Mem.ram_write mem addr nbytes v;
-      if
-        t.superblock
-        && addr + nbytes > Soc.kernel_base
-        && addr < Soc.page_pool_base
-      then
-        if
-          Array.unsafe_get t.probe_exempt
-            ((t.cur_pc - Soc.code_cache_base) asr 2)
-        then t.probes_elided <- t.probes_elided + 1
-        else sb_store_check t addr nbytes
-    end
-    else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
+          Tk_stats.Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
       Mem.write mem addr nbytes v
     end
   in
@@ -341,9 +288,6 @@ let rec create ~(soc : Soc.t) ~mode () =
     raise (Host_error ("host undef: " ^ Types.to_string i))
   in
   t.env <- { Exec.load; store; svc; wfi; irq_ret; undef };
-  t.env_traced <-
-    { Exec.load = load_traced; store = store_traced; svc; wfi; irq_ret;
-      undef };
   (* telemetry gauges: translation-cache occupancy and engine work.
      add_gauge replaces by name, so a second engine on the same SoC
      re-binds these columns instead of duplicating them. *)
@@ -488,9 +432,7 @@ and translate_block t gpc =
     if t.superblock then begin
       sb_mark_cover t gpc b.Translator.b_guest_count;
       sb_record_succ t b;
-      sb_mark_fusions t h t.cursor;
-      if sb_span_clean t gpc b.Translator.b_guest_count then
-        sb_mark_exempt t h t.cursor
+      sb_mark_fusions t h t.cursor
     end;
     if t.tr.Tk_stats.Trace.enabled then
       Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
@@ -507,28 +449,6 @@ and sb_mark_cover t gpc count =
       Bytes.unsafe_set t.guest_cover ((a - Soc.kernel_base) asr 2) '\001'
   done
 
-(* is every guest word of the span proven SMC-clean? (vacuously false
-   with no map installed, and for any word outside the image span) *)
-and sb_span_clean t gpc count =
-  match t.smc_map with
-  | None -> false
-  | Some map ->
-    let clean = ref true in
-    for k = 0 to count - 1 do
-      let a = gpc + (4 * k) in
-      if
-        not
-          (Soc.in_kernel_image a
-          && Bytes.unsafe_get map ((a - Soc.kernel_base) asr 2) <> '\000')
-      then clean := false
-    done;
-    !clean
-
-and sb_mark_exempt t lo hi =
-  Array.fill t.probe_exempt
-    ((lo - Soc.code_cache_base) asr 2)
-    ((hi - lo) asr 2) true
-
 (* chain statistics: a block whose terminal is an always-taken direct
    transfer has a statically-known successor *)
 and sb_record_succ t (b : Translator.block) =
@@ -543,7 +463,7 @@ and sb_record_succ t (b : Translator.block) =
    conditional control, load + dependent ALU, movw + movt. The second
    element of a marked pair executes in the same issue slot as the
    first: it keeps its instruction count and cache traffic but the base
-   CPI is waived (see the superblock run loop). Pair shapes survive
+   CPI is waived (see {!run_loop}). Pair shapes survive
    patching — the first element is never a site, and a patched site only
    turns an SVC into a branch, which stays in the control class. *)
 and sb_pair_fusable (a : inst) (b : inst) =
@@ -596,14 +516,10 @@ and flush_cache t =
   Array.fill t.block_start 0 (Array.length t.block_start) false;
   Array.fill t.block_exec 0 (Array.length t.block_exec) 0;
   Array.fill t.fuse_next 0 (Array.length t.fuse_next) false;
-  Array.fill t.probe_exempt 0 (Array.length t.probe_exempt) false;
   Bytes.fill t.guest_cover 0 (Bytes.length t.guest_cover) '\000';
   t.pending_flush <- false;
   t.flushes <- t.flushes + 1;
-  t.store <- None;
-  (* the clean map was proven over the pristine image; after guest
-     self-modification it no longer describes what will be fetched *)
-  t.smc_map <- None
+  t.store <- None
 
 (* ----------------------- superblock formation ----------------------- *)
 
@@ -703,11 +619,6 @@ and sb_try_form t head =
         (p.Superblock.p_guest_count, (t.cursor - h) asr 2);
       t.traces_formed <- t.traces_formed + 1;
       sb_mark_fusions t h t.cursor;
-      if
-        List.for_all
-          (fun (g, c) -> sb_span_clean t g c)
-          p.Superblock.p_blocks
-      then sb_mark_exempt t h t.cursor;
       (* redirect the old head into the trace: its first word becomes a
          branch, so chained predecessors and saved resume points all
          land in the trace from now on *)
@@ -718,26 +629,26 @@ and sb_try_form t head =
       if sp.Tk_stats.Span.enabled then Tk_stats.Span.leave sp stok
   end
 
-(* Block-boundary work for the superblock run loop, out of line so the
-   loop body stays register-tight: consume a pending whole-cache flush
-   (landing on the retranslated head — itself a block start, hence the
-   self-recursion), bump the execution count that feeds the formation
-   trigger, fire one-shot trace formation at the threshold, and open
-   the IRQ window. Returns the host pc to execute at (different from
-   [pcv] only after a flush redirect). *)
-and sb_boundary t (cpu : Exec.cpu) pcv idx =
+(* Block-boundary work, out of line so the run loop body stays
+   register-tight: consume a pending whole-cache flush (landing on the
+   retranslated head — itself a block start, hence the self-recursion),
+   bump the block's execution count, fire the superblock tier's
+   one-shot trace formation at the threshold, and open the IRQ window.
+   Returns the host pc to execute at (different from [pcv] only after a
+   flush redirect, which only the tier's store probe can schedule). *)
+and block_boundary t (cpu : Exec.cpu) pcv idx =
   if t.pending_flush then begin
     (* read the guest mapping before the flush wipes it *)
     let gpc = Hashtbl.find t.block_starts pcv in
     flush_cache t;
     let h = translate_block t gpc in
     cpu.Exec.r.(pc) <- h;
-    sb_boundary t cpu h ((h - Soc.code_cache_base) asr 2)
+    block_boundary t cpu h ((h - Soc.code_cache_base) asr 2)
   end
   else begin
     let c = Array.unsafe_get t.block_exec idx + 1 in
     Array.unsafe_set t.block_exec idx c;
-    if c = t.sb_threshold then begin
+    if t.superblock && c = t.sb_threshold then begin
       let gpc = Hashtbl.find t.block_starts pcv in
       if not (Hashtbl.mem t.formed gpc) then begin
         Hashtbl.replace t.formed gpc ();
@@ -873,106 +784,36 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
   | Translator.Baseline ->
     Mem.ram_write32 t.soc.Soc.mem (Layout.env_reg i) v
 
-(* ----------------------- SMC-clean region map ------------------------ *)
-
-(** [set_smc_map t ranges] installs the SMC-clean map from proven guest
-    address intervals [\[lo, hi)] (kernel-image addresses, word-aligned):
-    translations emitted entirely from clean words skip the per-word
-    store-invalidation probe. The map describes the pristine image — it
-    is dropped (with the whole cache) if the guest self-modifies. *)
-let set_smc_map t ranges =
-  let map = Bytes.make ((Soc.page_pool_base - Soc.kernel_base) / 4) '\000' in
-  List.iter
-    (fun (lo, hi) ->
-      let lo = max lo Soc.kernel_base and hi = min hi Soc.page_pool_base in
-      for k = (lo - Soc.kernel_base) asr 2 to ((hi - Soc.kernel_base) asr 2) - 1
-      do
-        Bytes.unsafe_set map k '\001'
-      done)
-    ranges;
-  t.smc_map <- Some map
-
 (* ----------------------------- run ---------------------------------- *)
 
-(** [run t cpu ~fuel] executes translated code until the context returns
-    to {!Layout.exit_magic} (raising {!Context_exit}) or a callback
-    raises. The [cpu] is mutated in place; callbacks observe a host pc
-    that is always a valid resume point. *)
-let run_plain t (cpu : Exec.cpu) ~fuel =
-  let m3 = t.soc.Soc.m3 in
-  let tr = t.tr in
-  (* tracing never toggles while translated code is executing, so the
-     decision is hoisted: the disabled loop tests only an immutable
-     register-resident bool and runs the seed's untraced environment *)
-  let traced = tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
-  (* telemetry sampler: same hoisting discipline *)
-  let ts = t.soc.Soc.sampler in
-  let sampling = ts.Tk_stats.Timeseries.enabled in
-  let r = cpu.Exec.r in
-  let clock = m3.Core.clock in
-  let n = ref 0 in
-  while true do
-    if !n >= fuel then raise (Host_error "DBT fuel exhausted");
-    incr n;
-    if clock.Clock.now >= t.deadline_ns then raise Quantum;
-    if sampling then Tk_stats.Timeseries.tick ts;
-    let pcv = Array.unsafe_get r pc in
-    if pcv = Layout.exit_magic then raise Context_exit;
-    if not (in_cache t pcv) then
-      raise
-        (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" pcv));
-    let idx = (pcv - Soc.code_cache_base) asr 2 in
-    if Array.unsafe_get t.block_start idx then begin
-      if t.profile then
-        Array.unsafe_set t.block_exec idx
-          (Array.unsafe_get t.block_exec idx + 1);
-      if t.irq_dispatch then t.cb.on_irq_window cpu
-    end;
-    let i =
-      let c = Array.unsafe_get t.host_decode idx in
-      if c != undecoded then c else decode_host t pcv
-    in
-    t.cur_pc <- pcv;
-    t.pc_overridden <- false;
-    t.host_executed <- t.host_executed + 1;
-    Core.retire m3 pcv;
-    if traced then
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_retire pcv 0;
-    match Exec.step cpu env ~addr:pcv i with
-    | Exec.Next -> if not t.pc_overridden then Array.unsafe_set r pc (pcv + 4)
-    | Exec.Branched -> Core.charge m3 cost_taken_branch
-  done
+(* The run loop, shared by every tier:
 
-(* The superblock tier's run loop. Differences from [run_plain]:
-
-   - the block-boundary probe counts executions unconditionally (the
-     formation trigger needs chain statistics even without the
-     profiler) and fires one-shot trace formation when a block's count
-     reaches [sb_threshold];
-   - a pending whole-cache flush (self-modifying guest) is consumed at
-     the probe, before this block's fetch — the next-boundary semantics
-     matching the interpreter's next-fetch granularity;
-   - a host word marked in [fuse_next] executes its successor in the
-     same iteration as a fused macro-op: the partner keeps its
-     instruction count and its cache traffic, but its base CPI charge
-     is waived;
-   - the boundary work lives out of line in {!sb_boundary} and the
-     per-instruction retire accounting ([Core.retire] and its
+   - the loop-head probes (quantum deadline, exit sentinel, cache
+     bounds, block start) only run after a control transfer or a
+     callback pc override: translated blocks always end in an
+     unconditional terminal, so straight-line fall-through can never
+     reach the exit sentinel, leave the cache, or cross into another
+     block's head;
+   - block-start work lives out of line in {!block_boundary}: the
+     execution count, the IRQ window, one-shot trace formation when a
+     block's count reaches [sb_threshold] (only with [t.superblock]),
+     and consumption of a pending whole-cache flush (only the tier's
+     store probe schedules one) before this block's fetch — the
+     next-boundary semantics matching the interpreter's next-fetch
+     granularity;
+   - a host word marked in [fuse_next] (superblock tier only) executes
+     its successor in the same iteration as a fused macro-op: the
+     partner keeps its instruction count and its cache traffic, but its
+     base CPI charge is waived;
+   - the per-instruction retire accounting ([Core.retire] and its
      [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body allocation-free and register-tight;
-   - the loop-head probes (exit sentinel, cache bounds, block start)
-     only run after a control transfer or a callback pc override:
-     translated blocks always end in an unconditional terminal, so
-     straight-line fall-through can never reach the exit sentinel,
-     leave the cache, or cross into another block's head.
+     body allocation-free and register-tight.
 
    Inside a formed trace there are no block starts, so interior
    boundaries pay no probe, no dispatch and no IRQ window — interrupt
    latency is bounded by the trace length (sb_max_blocks * block_limit
    guest instructions). *)
-let run_superblock t (cpu : Exec.cpu) ~fuel =
+let run_loop t (cpu : Exec.cpu) ~fuel =
   let m3 = t.soc.Soc.m3 in
   let cache = m3.Core.cache in
   let tags = cache.Cache.tags in
@@ -982,8 +823,10 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
   let cpi_num = m3.Core.p.Core.cpi_num in
   let cpi_den = m3.Core.p.Core.cpi_den in
   let tr = t.tr in
+  (* tracing and sampling never toggle while translated code is
+     executing, so both decisions are hoisted into immutable bools *)
   let traced = tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
+  let env = t.env in
   let ts = t.soc.Soc.sampler in
   let sampling = ts.Tk_stats.Timeseries.enabled in
   let r = cpu.Exec.r in
@@ -1006,7 +849,7 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
           (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" v));
       let i0 = (v - Soc.code_cache_base) asr 2 in
       let v' =
-        if Array.unsafe_get t.block_start i0 then sb_boundary t cpu v i0
+        if Array.unsafe_get t.block_start i0 then block_boundary t cpu v i0
         else v
       in
       cur := v';
@@ -1133,8 +976,12 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
       probe := true
   done
 
+(** [run t cpu ~fuel] executes translated code until the context returns
+    to {!Layout.exit_magic} (raising {!Context_exit}) or a callback
+    raises. The [cpu] is mutated in place; callbacks observe a host pc
+    that is always a valid resume point. *)
 let run t cpu ~fuel =
-  (* one execution-burst span per engine entry; the loops only exit by
+  (* one execution-burst span per engine entry; the loop only exits by
      exception (Context_exit, fallback, host error), so the close rides
      in [~finally]. A burst cut by {!Quantum} reopens coalesced on
      resume (zero simulated time passes across the cut, and nothing
@@ -1155,15 +1002,11 @@ let run t cpu ~fuel =
     Fun.protect
       ~finally:(fun () -> Tk_stats.Span.leave sp tok)
       (fun () ->
-        try
-          if t.superblock then run_superblock t cpu ~fuel
-          else run_plain t cpu ~fuel
-        with Quantum ->
+        try run_loop t cpu ~fuel with Quantum ->
           t.span_cut <- Tk_stats.Span.slot_of sp tok;
           raise Quantum)
   end
-  else if t.superblock then run_superblock t cpu ~fuel
-  else run_plain t cpu ~fuel
+  else run_loop t cpu ~fuel
 
 (** [entry_host t gpc] — host address for guest entry [gpc], translating
     on demand (used by ARK to start contexts). *)
@@ -1192,8 +1035,9 @@ let chain_rate bp =
   else float_of_int (bp.bp_execs - bp.bp_dispatches)
        /. float_of_int bp.bp_execs
 
-(** [profile_blocks t] — per-block profile rows, hottest first. Only
-    meaningful after a run with [t.profile] set. *)
+(** [profile_blocks t] — per-block profile rows, hottest first. The
+    dispatch counts are only meaningful after a run with [t.profile]
+    set. *)
 let profile_blocks t =
   let rows =
     Hashtbl.fold

@@ -3,7 +3,9 @@
     Owns the code cache (a region of shared DRAM), the guest->host block
     map, the site table, direct-branch patching ("chaining"), and the
     host execution loop — a V7M interpreter charged against the M3 core
-    model, fetching emitted words through the M3's cache.
+    model, fetching emitted words through the M3's cache. Every tier
+    runs the same loop; the superblock tier only adds block-boundary
+    work and fused macro-op issue.
 
     The engine is policy-free: ARK supplies {!callbacks} for emulated
     services, hooks, guest hypercalls, interrupt windows and fallback.
@@ -35,8 +37,9 @@ exception Host_error of string
 
 exception Quantum
 (** the M3 clock reached [deadline_ns] (bounded-quantum lockstep): the
-    run loop unwound at an instruction boundary with the context's pc
-    saved, so a later {!run} with the same cpu resumes exactly where it
+    run loop unwound at its next loop-head probe (after a control
+    transfer or a callback pc override) with the context's pc saved,
+    so a later {!run} with the same cpu resumes exactly where it
     stopped. Never raised while [deadline_ns = max_int] (the default). *)
 
 val undecoded : Types.inst
@@ -63,16 +66,15 @@ type t = {
           slots hold the physically distinguished {!undecoded} sentinel *)
   block_start : bool array;
       (** dense membership set mirroring [block_starts] (same indexing),
-          probed per instruction for the IRQ window *)
+          probed after every control transfer for the IRQ window *)
   mutable cur_pc : int;
   mutable pc_overridden : bool;
   mutable chain : bool;  (** patch direct branches (ablation knob) *)
   mutable block_limit : int;  (** guest instructions per block *)
   mutable irq_dispatch : bool;  (** ARK's spinlock emulation pauses this *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** [env] with flight-recorder emission on memory accesses; the
-          run loop selects it only while tracing is enabled *)
+      (** host memory environment; accesses emit to the flight recorder
+          only while it is enabled *)
   mutable guest_translated : int;
   mutable host_emitted : int;
   mutable blocks : int;
@@ -83,16 +85,19 @@ type t = {
       (** simulated M3 cycles charged for translation / trace formation;
           a monotone attribution gauge for the span tracer *)
   mutable profile : bool;
-      (** count per-block executions / dispatch entries (host-side
+      (** count dispatch slow-path entries per block (host-side
           observability; simulated charges are unaffected) *)
   block_exec : int array;
+      (** per-block execution count (same indexing as [block_start]),
+          bumped on every block entry *)
   block_dispatch : (int, int) Hashtbl.t;
   block_size : (int, int * int) Hashtbl.t;
   (* superblock tier (above Ark; cycle-accounted, not cycle-neutral) *)
   mutable superblock : bool;
-      (** select the superblock run loop: trace formation over hot block
-          chains, macro-op fused execution, whole-trace invalidation.
-          Only meaningful with [mode = Ark]. *)
+      (** enable the superblock tier's boundary work in the run loop:
+          trace formation over hot block chains, macro-op fusion marks,
+          and the store-invalidation probe. Only meaningful with
+          [mode = Ark]. *)
   mutable sb_threshold : int;
       (** block executions before its chain is considered for formation *)
   mutable sb_max_blocks : int;  (** max constituent blocks per trace *)
@@ -118,23 +123,15 @@ type t = {
           must stay byte-identical and this counter differs *)
   mutable invalidations : int;  (** covered words hit by guest stores *)
   mutable flushes : int;  (** whole-cache evictions performed *)
-  (* static-analysis products consumed by the tier (certify + absint) *)
+  (* static-analysis product consumed by the tier *)
   mutable sb_certify : (Superblock.plan -> bool) option;
       (** online trace certifier: a formed (or warm-loaded) plan is
           admitted only if the hook proves it equivalent to its
           constituent blocks; [None] (default) admits everything *)
   mutable certify_rejects : int;
       (** plans refused by [sb_certify] (warm or fresh) *)
-  mutable smc_map : Bytes.t option;
-      (** SMC-clean map (same indexing as [guest_cover]); install via
-          {!set_smc_map}; dropped on whole-cache flush *)
-  probe_exempt : bool array;
-      (** host words emitted from SMC-clean guest code (same indexing as
-          [host_decode]): their stores skip the cover-map probe *)
-  mutable probes_elided : int;
-      (** image-span stores that skipped the probe via [probe_exempt] *)
   mutable deadline_ns : int;
-      (** bounded-quantum lockstep: the run loops raise {!Quantum} at
+      (** bounded-quantum lockstep: the run loop raises {!Quantum} at
           the first resumable point once the M3 clock reaches this
           absolute time. [max_int] (default) = run to completion. The
           scheduler clears it around nested context runs (IRQ delivery,
@@ -170,19 +167,14 @@ val set_guest_reg : t -> Exec.cpu -> int -> int -> unit
 val guest_point_of_host : t -> int -> int option
 (** guest address for a saved host resume point (fallback migration) *)
 
-val set_smc_map : t -> (int * int) list -> unit
-(** [set_smc_map t ranges] installs the SMC-clean map from proven guest
-    address intervals [\[lo, hi)] within the kernel image: superblock
-    translations emitted entirely from clean words skip the per-word
-    store-invalidation probe. The map describes the pristine image and
-    is dropped with the cache if the guest self-modifies. *)
-
 val run : t -> Exec.cpu -> fuel:int -> unit
 (** [run t cpu ~fuel] executes translated code until the context returns
     to {!Layout.exit_magic} (raising {!Context_exit}) or a callback
     raises; [cpu] is mutated in place and is always at a valid resume
     point when callbacks fire.
-    @raise Host_error on engine errors or fuel exhaustion *)
+    @raise Host_error on engine errors or fuel exhaustion
+    @raise Quantum at a control transfer once the M3 clock reaches
+    [deadline_ns] *)
 
 (** One row of the hot-block profiler (see {!profile_blocks}). *)
 type block_profile = {
@@ -199,5 +191,5 @@ val chain_rate : block_profile -> float
     rather than the dispatch slow path *)
 
 val profile_blocks : t -> block_profile list
-(** per-block profile rows, hottest first; meaningful after a run with
-    [profile] set *)
+(** per-block profile rows, hottest first; [bp_dispatches] (and so
+    {!chain_rate}) is only meaningful after a run with [profile] set *)

@@ -279,12 +279,11 @@ type direction = Higher_better | Lower_better | Neutral
     marker ([chain_hit_rate]) still land on [Higher_better].
     Span/latency keys are costs too: [*_ns] durations, [*_p99]
     quantiles, tracer [overhead] and reconciliation [residual] figures
-    all regress upward. Certifier/elision counters: [rejects] and
-    [mismatch] are costs, [elided] and superblock [chain_len] are
-    benefits — without these, [probes_elided] and friends fell through
-    to [Neutral], whose |delta| gate fails CI on an {e improvement}
-    larger than the tolerance. Lockstep [skew] and barrier [wait] are
-    costs. Pinned by test/test_timeseries.ml. *)
+    all regress upward. Certifier counters: [rejects] and [mismatch]
+    are costs, superblock [chain_len] is a benefit — without these,
+    they fell through to [Neutral], whose |delta| gate fails CI on an
+    {e improvement} larger than the tolerance. Lockstep [skew] and
+    barrier [wait] are costs. Pinned by test/test_timeseries.ml. *)
 let direction_of key =
   let k = String.lowercase_ascii key in
   let has sub =
@@ -301,7 +300,7 @@ let direction_of key =
   then Lower_better
   else if
     has "mips" || has "throughput" || has "rate" || has "speedup"
-    || has "per_sec" || has "elided" || has "chain_len"
+    || has "per_sec" || has "chain_len"
   then Higher_better
   else Neutral
 

@@ -39,14 +39,11 @@ type t = {
   decode : Types.inst option array;  (** dense, indexed by image word *)
   decode_cache : (int, Types.inst) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** same environment with flight-recorder emission on memory
-          accesses; [step] selects it only while tracing is enabled, so
-          the disabled hot path carries no trace branches *)
+      (** guest memory environment; accesses emit to the flight
+          recorder only while it is enabled *)
   mutable irq_vector : int;  (** guest address of the IRQ entry stub *)
   mutable irq_saved : (int * int) list;  (** (return pc, flags) *)
   mutable on_svc : t -> Exec.cpu -> int -> unit;
-  mutable trace : (int -> Types.inst -> unit) option;
 }
 
 let dummy_env : Exec.env =
@@ -63,36 +60,58 @@ let create ~(soc : Soc.t) () =
     { soc; core; tr; cpu = Exec.make_cpu ();
       decode = Array.make dense_words None;
       decode_cache = Hashtbl.create 64;
-      env = dummy_env; env_traced = dummy_env; irq_vector = 0;
-      irq_saved = [];
-      on_svc = (fun _ _ _ -> ()); trace = None }
+      env = dummy_env; irq_vector = 0; irq_saved = [];
+      on_svc = (fun _ _ _ -> ()) }
   in
   let mem = soc.mem in
-  (* The untraced closures below are the seed's hot path, byte for
-     byte: [step] only hands [env_traced] to the executor while the
-     flight recorder is enabled, so tracing costs nothing when off. *)
+  (* flight-recorder emission is one branch on the recorder's enable
+     bit per access; emission never charges simulated cycles *)
   let load addr nbytes =
     if Mem.in_ram mem addr then begin
-      Core.charge_stall core (Cache.access core.cache ~write:false addr);
+      let stall = Cache.access core.cache ~write:false addr in
+      Core.charge_stall core stall;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
+          Tk_stats.Trace.ev_read addr stall;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
     else begin
       Core.charge core core.p.mmio_penalty;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
+          Tk_stats.Trace.ev_read addr core.p.mmio_penalty;
       Mem.read mem addr nbytes
     end
   in
   (* self-modifying code safety: drop any stale decode for a word the
      store touches. A store may straddle a word boundary (e.g. a 4-byte
      store at an unaligned address), so both affected words are
-     invalidated. *)
+     invalidated. Dropping a cached entry is reported to the flight
+     recorder (a self-modifying-code signal). *)
   let invalidate_word w =
-    if in_dense w then Array.unsafe_set t.decode ((w - dense_base) asr 2) None
-    else Hashtbl.remove t.decode_cache w
+    if in_dense w then begin
+      let idx = (w - dense_base) asr 2 in
+      if tr.Tk_stats.Trace.enabled && Array.unsafe_get t.decode idx <> None
+      then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
+          Tk_stats.Trace.ev_invalidate w 0;
+      Array.unsafe_set t.decode idx None
+    end
+    else begin
+      if tr.Tk_stats.Trace.enabled && Hashtbl.mem t.decode_cache w then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
+          Tk_stats.Trace.ev_invalidate w 0;
+      Hashtbl.remove t.decode_cache w
+    end
   in
   let store addr nbytes v =
     if Mem.in_ram mem addr then begin
-      Core.charge_stall core (Cache.access core.cache ~write:true addr);
+      let stall = Cache.access core.cache ~write:true addr in
+      Core.charge_stall core stall;
+      if tr.Tk_stats.Trace.enabled then
+        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
+          Tk_stats.Trace.ev_write addr stall;
       let w0 = addr land lnot 3 in
       invalidate_word w0;
       let w1 = (addr + nbytes - 1) land lnot 3 in
@@ -102,59 +121,9 @@ let create ~(soc : Soc.t) () =
     end
     else begin
       Core.charge core core.p.mmio_penalty;
-      Mem.write mem addr nbytes v
-    end
-  in
-  let load_traced addr nbytes =
-    if Mem.in_ram mem addr then begin
-      let stall = Cache.access core.cache ~write:false addr in
-      Core.charge_stall core stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_read addr stall;
-      if nbytes = 4 then Mem.ram_read32 mem addr
-      else Mem.ram_read mem addr nbytes
-    end
-    else begin
-      Core.charge core core.p.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_read addr core.p.mmio_penalty;
-      Mem.read mem addr nbytes
-    end
-  in
-  (* traced variant: also reports decode invalidations that actually
-     dropped a cached entry (a self-modifying-code signal) *)
-  let invalidate_word_traced w =
-    if in_dense w then begin
-      let idx = (w - dense_base) asr 2 in
-      if Array.unsafe_get t.decode idx <> None then
+      if tr.Tk_stats.Trace.enabled then
         Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_invalidate w 0;
-      Array.unsafe_set t.decode idx None
-    end
-    else begin
-      if Hashtbl.mem t.decode_cache w then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_invalidate w 0;
-      Hashtbl.remove t.decode_cache w
-    end
-  in
-  let store_traced addr nbytes v =
-    if Mem.in_ram mem addr then begin
-      let stall = Cache.access core.cache ~write:true addr in
-      Core.charge_stall core stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_write addr stall;
-      let w0 = addr land lnot 3 in
-      invalidate_word_traced w0;
-      let w1 = (addr + nbytes - 1) land lnot 3 in
-      if w1 <> w0 then invalidate_word_traced w1;
-      if nbytes = 4 then Mem.ram_write32 mem addr v
-      else Mem.ram_write mem addr nbytes v
-    end
-    else begin
-      Core.charge core core.p.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_write addr core.p.mmio_penalty;
+          Tk_stats.Trace.ev_write addr core.p.mmio_penalty;
       Mem.write mem addr nbytes v
     end
   in
@@ -176,8 +145,6 @@ let create ~(soc : Soc.t) () =
   in
   let svc cpu n = t.on_svc t cpu n in
   t.env <- { load; store; svc; wfi; irq_ret; undef };
-  t.env_traced <-
-    { load = load_traced; store = store_traced; svc; wfi; irq_ret; undef };
   t
 
 (** [set_pc t addr] positions the next fetch. *)
@@ -213,11 +180,10 @@ let deliver_irq t =
   cpu.Exec.irq_on <- false;
   cpu.Exec.r.(Types.pc) <- t.irq_vector
 
-(* one step with the tracing decision precomputed: [run] hoists the
-   enabled check out of its loop entirely (tracing never toggles while
-   guest code is executing), so the disabled path tests only an
-   immutable register-resident bool *)
-let step_env t traced env =
+(* one step with the tracing decision hoisted by the caller (tracing
+   never toggles while guest code is executing), so the disabled path
+   tests only an immutable register-resident bool *)
+let step_one t traced =
   let cpu = t.cpu in
   if cpu.Exec.irq_on && Intc.deliverable t.soc.fabric.gic then
     deliver_irq t;
@@ -225,39 +191,20 @@ let step_env t traced env =
   if not (Mem.in_ram t.soc.mem addr) then
     raise (Fault (Printf.sprintf "PC outside RAM: 0x%x" addr));
   let i = fetch_decode t addr in
-  (match t.trace with Some f -> f addr i | None -> ());
   Core.retire t.core addr;
   if traced then
     Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_cpu
       Tk_stats.Trace.ev_retire addr 0;
-  match Exec.step cpu env ~addr i with
+  match Exec.step cpu t.env ~addr i with
   | Exec.Next -> Array.unsafe_set cpu.Exec.r Types.pc (addr + 4)
   | Exec.Branched -> ()
 
 (** [step t] executes one instruction (delivering a pending enabled IRQ
     first). *)
 let step t =
-  let traced = t.tr.Tk_stats.Trace.enabled in
-  step_env t traced (if traced then t.env_traced else t.env);
+  step_one t t.tr.Tk_stats.Trace.enabled;
   let ts = t.soc.Soc.sampler in
   if ts.Tk_stats.Timeseries.enabled then Tk_stats.Timeseries.tick ts
-
-(** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
-    instructions elapse, which raises {!Fault} — a runaway guest). *)
-let run_loop t ~fuel =
-  let n = ref 0 in
-  let traced = t.tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
-  (* telemetry sampler: same hoisting discipline as tracing — when
-     sampling is off the loop only tests an immutable bool *)
-  let ts = t.soc.Soc.sampler in
-  let sampling = ts.Tk_stats.Timeseries.enabled in
-  while !n < fuel do
-    incr n;
-    step_env t traced env;
-    if sampling then Tk_stats.Timeseries.tick ts
-  done;
-  raise (Fault (Printf.sprintf "fuel exhausted after %d instructions" fuel))
 
 (** [run_until t ~deadline ~fuel] — bounded-quantum slice of {!run}:
     step until the core's clock reaches absolute time [deadline], then
@@ -267,7 +214,8 @@ let run_loop t ~fuel =
 let run_until t ~deadline ~fuel =
   let n = ref 0 in
   let traced = t.tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
+  (* telemetry sampler: same hoisting discipline as tracing — when
+     sampling is off the loop only tests an immutable bool *)
   let ts = t.soc.Soc.sampler in
   let sampling = ts.Tk_stats.Timeseries.enabled in
   let clock = t.core.Core.clock in
@@ -275,13 +223,16 @@ let run_until t ~deadline ~fuel =
     if !n >= fuel then
       raise (Fault (Printf.sprintf "fuel exhausted after %d instructions" fuel));
     incr n;
-    step_env t traced env;
+    step_one t traced;
     if sampling then Tk_stats.Timeseries.tick ts
   done
 
+(** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
+    instructions elapse, which raises {!Fault} — a runaway guest). *)
 let run t ~fuel =
-  (* one execution-burst span per call; [run] only ever exits by
-     exception (Halt / Fault), so the close rides in [~finally] *)
+  (* one execution-burst span per call; the unbounded slice only ever
+     exits by exception (Halt / Fault), so the close rides in
+     [~finally] *)
   let sp = t.soc.Soc.spans in
   if sp.Tk_stats.Span.enabled then begin
     let tok =
@@ -290,6 +241,6 @@ let run t ~fuel =
     in
     Fun.protect
       ~finally:(fun () -> Tk_stats.Span.leave sp tok)
-      (fun () -> run_loop t ~fuel)
+      (fun () -> run_until t ~deadline:max_int ~fuel)
   end
-  else run_loop t ~fuel
+  else run_until t ~deadline:max_int ~fuel

@@ -25,13 +25,11 @@ type t = {
   decode : Types.inst option array;  (** dense, indexed by image word *)
   decode_cache : (int, Types.inst) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** same environment with flight-recorder emission on memory
-          accesses; [step] selects it only while tracing is enabled *)
+      (** guest memory environment; accesses emit to the flight
+          recorder only while it is enabled *)
   mutable irq_vector : int;  (** guest address of the IRQ entry stub *)
   mutable irq_saved : (int * int) list;  (** (return pc, flags) *)
   mutable on_svc : t -> Exec.cpu -> int -> unit;
-  mutable trace : (int -> Types.inst -> unit) option;
 }
 
 val create : soc:Soc.t -> unit -> t
@@ -44,7 +42,8 @@ val set_pc : t -> int -> unit
 val step : t -> unit
 
 (** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
-    instructions elapse, which raises {!Fault} — a runaway guest). *)
+    instructions elapse, which raises {!Fault} — a runaway guest): the
+    {!run_until} loop with no deadline. *)
 val run : t -> fuel:int -> unit
 
 (** [run_until t ~deadline ~fuel] — bounded-quantum slice of {!run}:

@@ -10,15 +10,10 @@
    Abstract interpretation: stack-disciplined functions prove clean,
    a seeded constant store into the code section convicts exactly its
    own word (word-granular ranges), and spans straddling the end of the
-   code section stay conservatively SMC-suspect. CFG recovery keeps
-   blocks reachable only through superblock side exits and feeds the
-   indirect-call census.
-
-   Elision: with the proven clean map installed, image-window stores
-   skip the cover-map probe (counted) and the architectural outcome
-   still matches the native arm; on a self-modifying image the patch
-   word stays unclean, so the store is caught, the trace evicted, and
-   the map dropped with the flush. *)
+   code section stay conservatively SMC-suspect, while a loop storing
+   to a constant image-data target proves fully clean. CFG recovery
+   keeps blocks reachable only through superblock side exits and feeds
+   the indirect-call census. *)
 
 open Tk_isa
 open Tk_isa.Types
@@ -60,14 +55,13 @@ let run_native image entry =
    with e -> Alcotest.failf "native arm: %s" (Printexc.to_string e));
   { regs = Array.copy cpu.Exec.r; flags = Exec.flags_word cpu }
 
-(* superblock engine run with optional SMC-clean map / certifier hook *)
-let run_sb ?(threshold = 4) ?ranges ?admit image entry =
+(* superblock engine run with an optional certifier hook *)
+let run_sb ?(threshold = 4) ?admit image entry =
   let soc = Soc.create () in
   Mem.load_image soc.Soc.mem image;
   let engine = Engine.create ~soc ~mode:Translator.Ark () in
   engine.Engine.superblock <- true;
   engine.Engine.sb_threshold <- threshold;
-  (match ranges with Some r -> Engine.set_smc_map engine r | None -> ());
   (match admit with Some f -> engine.Engine.sb_certify <- Some f | None -> ());
   let cpu = Exec.make_cpu () in
   cpu.Exec.r.(Types.lr) <- Layout.exit_magic;
@@ -146,32 +140,6 @@ let store_image () =
         Asm.Ins ret ]
   in
   Asm.link ~base [ { Asm.name = "storefn"; items } ] []
-
-(* the §7.3 SMC shape: the second constituent block of the formed trace
-   patches the first block's code on the r1 = 20 iteration *)
-let smc_image () =
-  let enc = V7a.encode_exn (at (Dp (ADD, false, 0, 0, Imm 100))) in
-  let str_word =
-    Mem { ld = false; size = Word; rt = 2; rn = 3; off = Oimm 0; idx = Offset }
-  in
-  let items =
-    [ Asm.Ins (at (Movw (0, 0))); Asm.Ins (at (Movw (1, 40)));
-      Asm.Label ".top"; Asm.Label ".patch";
-      Asm.Ins (at (Dp (ADD, false, 0, 0, Imm 2))) ]
-    @ rep 15 (at (Dp (ADD, false, 0, 0, Imm 1)))
-    @ [ Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 20)));
-        Asm.Bcc (NE, ".skip");
-        Asm.Ins (at (Movw (2, enc land 0xFFFF)));
-        Asm.Ins (at (Movt (2, enc lsr 16)));
-        Asm.Adr (3, ".patch");
-        Asm.Ins (at str_word);
-        Asm.Label ".skip";
-        Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
-        Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
-        Asm.Bcc (NE, ".top");
-        Asm.Ins ret ]
-  in
-  Asm.link ~base [ { Asm.name = "smcfn"; items } ] []
 
 (* side exit inside the hot loop to a cold block nothing else reaches *)
 let side_exit_image () =
@@ -319,8 +287,10 @@ let in_ranges r addr =
   List.exists (fun (lo, hi) -> addr >= lo && addr < hi)
     r.Absint.a_clean_ranges
 
+(* a disciplined stack store, and a loop storing to a constant target
+   past the code section: both functions prove clean word for word *)
 let test_absint_stack_clean () =
-  let image =
+  let stack_image =
     Asm.link ~base
       [ { Asm.name = "kernel_main";
           items =
@@ -334,16 +304,20 @@ let test_absint_stack_clean () =
               Asm.Ins ret ] } ]
       []
   in
-  let r = Absint.analyze (Cfg.build image) in
-  let v = verdict_of r "kernel_main" in
-  checkb "stack store proves clean" true v.Absint.v_clean;
-  checki "one store" 1 v.Absint.v_stores;
-  checkb "counted as stack" true
-    (match List.assoc_opt "stack" r.Absint.a_hist with
-    | Some n -> n >= 1
-    | None -> false);
-  checkb "whole function's words are clean" true
-    (Absint.clean_words r * 4 >= v.Absint.v_size)
+  List.iter
+    (fun (image, fn, cls) ->
+      let r = Absint.analyze (Cfg.build image) in
+      let v = verdict_of r fn in
+      checkb (cls ^ " store proves clean") true v.Absint.v_clean;
+      checki "one store" 1 v.Absint.v_stores;
+      checkb ("counted as " ^ cls) true
+        (match List.assoc_opt cls r.Absint.a_hist with
+        | Some n -> n >= 1
+        | None -> false);
+      checkb "whole function's words are clean" true
+        (Absint.clean_words r * 4 >= v.Absint.v_size))
+    [ (stack_image, "kernel_main", "stack");
+      (store_image (), "storefn", "image-data") ]
 
 (* the SMC store convicts only its own word: the ranges remain clean
    around it (word granularity, not function granularity) *)
@@ -410,35 +384,6 @@ let test_absint_straddle_end () =
   let v = verdict_of r "kernel_main" in
   checkb "straddling store convicts" true (not v.Absint.v_clean)
 
-(* --------------------------- probe elision ---------------------------- *)
-
-let test_elision_counts_and_matches () =
-  let image = store_image () in
-  let r = Absint.analyze (Cfg.build image) in
-  checkb "crafted store loop proves fully clean" true
-    (r.Absint.a_clean_ranges <> []);
-  let n = run_native image "storefn" in
-  let s_off, e_off = run_sb image "storefn" in
-  check_arch "no map" n s_off;
-  checki "no probe elided without a map" 0 e_off.Engine.probes_elided;
-  let s_on, e_on = run_sb ~ranges:r.Absint.a_clean_ranges image "storefn" in
-  check_arch "with map" n s_on;
-  checkb "probes elided under the proven map" true
-    (e_on.Engine.probes_elided > 0);
-  checki "nothing invalidated" 0 e_on.Engine.invalidations
-
-let test_elision_preserves_smc () =
-  let image = smc_image () in
-  let r = Absint.analyze (Cfg.build image) in
-  (* the patch store's word is unclean, so the map cannot exempt it *)
-  let n = run_native image "smcfn" in
-  let s, engine = run_sb ~ranges:r.Absint.a_clean_ranges image "smcfn" in
-  check_arch "smc with map" n s;
-  checkb "store into the trace still caught" true
-    (engine.Engine.invalidations >= 1);
-  checkb "whole cache evicted" true (engine.Engine.flushes >= 1);
-  checkb "map dropped with the flush" true (engine.Engine.smc_map = None)
-
 let () =
   Alcotest.run "certify"
     [ ( "trace certifier",
@@ -465,9 +410,4 @@ let () =
           Alcotest.test_case "SMC store convicts its own word" `Quick
             test_absint_smc_word_granular;
           Alcotest.test_case "stores straddling the image end" `Quick
-            test_absint_straddle_end ] );
-      ( "probe elision",
-        [ Alcotest.test_case "clean map elides probes, outcome matches"
-            `Quick test_elision_counts_and_matches;
-          Alcotest.test_case "self-modifying store still caught" `Quick
-            test_elision_preserves_smc ] ) ]
+            test_absint_straddle_end ] ) ]

@@ -105,8 +105,8 @@ let run_native_traced () =
   let soc = nat.Native_run.plat.Tk_drivers.Platform.soc in
   of_soc soc ~active:soc.Soc.cpu
 
-let run_mode_traced mode =
-  let ark = Ark_run.create ~mode () in
+let run_mode_traced ?superblock mode =
+  let ark = Ark_run.create ?superblock ~mode () in
   Tk_stats.Trace.enable (Ark_run.trace ark);
   (match Ark_run.suspend_resume_cycle ark with
   | `Ok -> ()
@@ -120,9 +120,26 @@ let test_native_traced () =
 let test_ark_traced () =
   check_nums "ARK (tracing on)" golden_ark (run_mode_traced Translator.Ark)
 
+let test_mid_traced () =
+  check_nums "Mid (tracing on)" golden_mid (run_mode_traced Translator.Mid)
+
 let test_baseline_traced () =
   check_nums "Baseline (tracing on)" golden_baseline
     (run_mode_traced Translator.Baseline)
+
+(* the superblock tier is cycle-accounted, not pinned to a seed golden:
+   its traced cycle must match an untraced one instead *)
+let test_superblock_traced () =
+  let untraced =
+    let ark = Ark_run.create ~superblock:true () in
+    (match Ark_run.suspend_resume_cycle ark with
+    | `Ok -> ()
+    | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);
+    let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
+    of_soc soc ~active:soc.Soc.m3
+  in
+  check_nums "superblock (tracing on)" untraced
+    (run_mode_traced ~superblock:true Translator.Ark)
 
 (* ------------------- chaining on/off equivalence --------------------- *)
 
@@ -182,8 +199,11 @@ let () =
         [ Alcotest.test_case "native arm (tracing on)" `Quick
             test_native_traced;
           Alcotest.test_case "ARK arm (tracing on)" `Quick test_ark_traced;
+          Alcotest.test_case "Mid arm (tracing on)" `Quick test_mid_traced;
           Alcotest.test_case "Baseline arm (tracing on)" `Quick
-            test_baseline_traced ] );
+            test_baseline_traced;
+          Alcotest.test_case "superblock tier (tracing on)" `Quick
+            test_superblock_traced ] );
       ( "chaining ablation",
         [ Alcotest.test_case "on/off architectural equivalence" `Quick
             test_chaining_equivalence ] ) ]

@@ -86,16 +86,43 @@ let hot_image () =
   in
   Asm.link ~base:Soc.kernel_base [ { Asm.name = "hotfn"; items } ] []
 
+(* the same two-block loop shape with a store per iteration into the
+   image's data window: every store takes the store-invalidation probe,
+   none hits translated code *)
+let store_image () =
+  let data = Soc.kernel_base + 0x8000 in
+  let items =
+    [ Asm.Ins (at (Movw (0, 0))); Asm.Ins (at (Movw (1, 200)));
+      Asm.Label ".top";
+      Asm.Ins (at (Movw (3, data land 0xFFFF)));
+      Asm.Ins (at (Movt (3, data lsr 16))) ]
+    @ rep 13 (at (Dp (ADD, false, 0, 0, Imm 1)))
+    @ [ Asm.Ins
+          (at
+             (Mem
+                { ld = false; size = Word; rt = 0; rn = 3; off = Oimm 0;
+                  idx = Offset }));
+        Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
+        Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
+        Asm.Bcc (NE, ".top");
+        Asm.Ins (at (Bx Types.lr)) ]
+  in
+  Asm.link ~base:Soc.kernel_base [ { Asm.name = "storefn"; items } ] []
+
 let test_formation () =
-  let image = hot_image () in
-  let n = run_native image "hotfn" in
-  let s, engine = run_sb image "hotfn" in
-  check_arch "hot loop" n s;
-  Alcotest.(check bool) "a multi-block trace formed" true
-    (engine.Engine.traces_formed >= 1);
-  Alcotest.(check bool) "cmp+branch idiom fused" true
-    (engine.Engine.fusions_applied >= 1);
-  Alcotest.(check int) "nothing invalidated" 0 engine.Engine.invalidations
+  List.iter
+    (fun (label, image, entry) ->
+      let n = run_native image entry in
+      let s, engine = run_sb image entry in
+      check_arch label n s;
+      Alcotest.(check bool) (label ^ ": a multi-block trace formed") true
+        (engine.Engine.traces_formed >= 1);
+      Alcotest.(check bool) (label ^ ": cmp+branch idiom fused") true
+        (engine.Engine.fusions_applied >= 1);
+      Alcotest.(check int) (label ^ ": nothing invalidated") 0
+        engine.Engine.invalidations)
+    [ ("hot loop", hot_image (), "hotfn");
+      ("store loop", store_image (), "storefn") ]
 
 (* a threshold the loop never reaches leaves the tier inert *)
 let test_below_threshold () =

@@ -380,11 +380,10 @@ let test_direction_polarity () =
   check "recon_residual_pct" Manifest.Lower_better;
   (* spans/sec is a throughput, not a cost *)
   check "spans_per_sec" Manifest.Higher_better;
-  (* certifier/elision counters: probe elisions and superblock chain
-     length are benefits; certifier rejects and certify mismatches are
-     costs — before the polarity fix all four fell to Neutral, whose
-     |delta| gate fails CI on an improvement beyond tolerance *)
-  check "probes_elided" Manifest.Higher_better;
+  (* certifier counters: superblock chain length is a benefit;
+     certifier rejects and certify mismatches are costs — before the
+     polarity fix all three fell to Neutral, whose |delta| gate fails
+     CI on an improvement beyond tolerance *)
   check "sb.chain_len" Manifest.Higher_better;
   check "certify_rejects" Manifest.Lower_better;
   check "certify_mismatch" Manifest.Lower_better;
