@@ -807,7 +807,11 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
      base CPI charge is waived;
    - the per-instruction retire accounting ([Core.retire] and its
      [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body allocation-free and register-tight.
+     body register-tight. The body allocates nothing, and neither does
+     the memory env it calls on every data access: its hit path,
+     [Core.charge_stall], only tests [Clock.next_at], and
+     [Clock.run_due] builds no closure. test_neutrality bounds a warm
+     cycle at 0.1 minor words per instruction.
 
    Inside a formed trace there are no block starts, so interior
    boundaries pay no probe, no dispatch and no IRQ window — interrupt
@@ -922,8 +926,8 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
       else if Array.unsafe_get t.fuse_next idx then begin
         (* fused macro-op slot: the partner issues with its
            predecessor — count it and its cache traffic, waive its
-           base CPI ([Core.charge_stall] of [Core.fetch_cost],
-           inlined) *)
+           base CPI ([Core.charge_stall] of an inlined
+           [Core.fetch_cost]) *)
         let pcv2 = pcv + 4 in
         Array.unsafe_set r pc pcv2;
         let i2 =
@@ -945,12 +949,7 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
           end
           else Cache.access cache ~write:false pcv2
         in
-        if stall2 <> 0 then begin
-          m3.Core.stall_cycles <- m3.Core.stall_cycles + stall2;
-          Core.charge m3 stall2
-        end
-        else if clock.Clock.next_at <= clock.Clock.now then
-          Clock.run_due clock;
+        Core.charge_stall m3 stall2;
         if traced then
           Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
             Tk_stats.Trace.ev_retire pcv2 0;

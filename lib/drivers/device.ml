@@ -140,10 +140,8 @@ let dma_start t dir =
     Clock.after_ t.soc.Soc.sched_clock ns (fun () ->
         let mem = t.soc.Soc.mem in
         (match dir with
-        | 1 -> ignore (Mem.dma_read mem t.dma_src t.dma_len)
-        | _ ->
-          Mem.dma_write mem t.dma_dst
-            (List.init t.dma_len (fun i -> (i * 7) land 0xFF)));
+        | 1 -> Mem.dma_read mem t.dma_src t.dma_len
+        | _ -> Mem.dma_write mem t.dma_dst t.dma_len (fun i -> i * 7));
         t.dma_busy <- false;
         t.dma_done <- true;
         raise_irq t)

@@ -156,6 +156,21 @@ let dp_arith cpu ~s ~sub ~rev ~carry rnv op2v =
   end;
   res
 
+(* LDM/STM register-list walkers, top-level like [rget]/[rset]: a
+   [List.iteri] closure inside [step] would allocate on every LDM/STM.
+   Both issue their accesses left to right, one word apart from [a]. *)
+let rec ldm_regs cpu env a = function
+  | [] -> ()
+  | r :: rest ->
+    rset cpu r (env.load (Bits.mask32 a) 4);
+    ldm_regs cpu env (a + 4) rest
+
+let rec stm_regs cpu env ~addr a = function
+  | [] -> ()
+  | r :: rest ->
+    env.store (Bits.mask32 a) 4 (rget cpu addr r);
+    stm_regs cpu env ~addr (a + 4) rest
+
 (** [step cpu env ~addr inst] executes [inst] located at [addr]. Returns
     {!Branched} iff the instruction wrote PC (the caller otherwise
     advances PC by 4). All register/flag effects are applied to [cpu]. *)
@@ -269,17 +284,12 @@ let step cpu env ~addr ({ cond; op } as inst) : outcome =
          an intermediate value list per instruction (loads still issue
          left to right, and none of them reads the register file) *)
       if wb then rset cpu rn (base + (4 * List.length regs));
-      List.iteri
-        (fun i r -> rset cpu r (env.load (Bits.mask32 (base + (4 * i))) 4))
-        regs
+      ldm_regs cpu env base regs
     | Stm (rn, wb, regs) ->
       let base = rget cpu addr rn in
       let n = List.length regs in
       let start = Bits.mask32 (base - (4 * n)) in
-      List.iteri
-        (fun i r ->
-          env.store (Bits.mask32 (start + (4 * i))) 4 (rget cpu addr r))
-        regs;
+      stm_regs cpu env ~addr start regs;
       if wb then rset cpu rn start
     | B off -> rset cpu pc (addr + off)
     | Bl off ->

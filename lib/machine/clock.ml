@@ -42,7 +42,8 @@ type t = {
       (** [at] of the earliest live event, [max_int] when none — may
           transiently under-report after a root cancellation, which only
           costs callers a spurious {!run_due} (it fires nothing). The
-          DBT engine's inlined fast path reads this field directly. *)
+          DBT engine's inlined fast path and [Core.charge_stall] read
+          this field directly. *)
 }
 
 let dummy = { at = 0; seq = -1; fn = ignore; live = false }
@@ -153,25 +154,26 @@ let after_ t dns fn =
   ()
 
 (** [run_due t] fires every live event with [at <= now], in (at, seq)
-    order — including events scheduled by the handlers themselves. *)
-let run_due t =
-  let rec go () =
-    if t.size = 0 then t.next_at <- max_int
-    else begin
-      let e = t.heap.(0) in
-      if not e.live then begin
-        pop_discard t;
-        go ()
-      end
-      else if e.at <= t.now then begin
-        pop_discard t;
-        e.fn ();
-        go ()
-      end
-      else t.next_at <- e.at
+    order — including events scheduled by the handlers themselves —
+    purges dead roots on the way, and leaves [next_at] at the earliest
+    live pending event. A plain top-level recursion: it allocates
+    nothing, so callers on the per-access path may invoke it freely
+    (though most test [next_at <= now] first, as {!advance} does). *)
+let rec run_due t =
+  if t.size = 0 then t.next_at <- max_int
+  else begin
+    let e = t.heap.(0) in
+    if not e.live then begin
+      pop_discard t;
+      run_due t
     end
-  in
-  go ()
+    else if e.at <= t.now then begin
+      pop_discard t;
+      e.fn ();
+      run_due t
+    end
+    else t.next_at <- e.at
+  end
 
 (** [advance t dns] moves time forward by [dns] ns and fires due events. *)
 let advance t dns =

@@ -64,18 +64,19 @@ let charge t cycles =
   Clock.advance t.clock q
 
 (** [charge_stall t stall] — fast path for charging a cache-access
-    result: on a hit ([stall = 0]) it skips the zero-cycle bookkeeping
-    and only fires platform events that are already due, which is
-    exactly what [charge t 0] does (busy counters gain 0, the
-    sub-cycle remainder is unchanged, and [Clock.advance 0] reduces to
-    [Clock.run_due]). Cycle-identical to [charge t stall], cheaper on
-    the hot hit path. *)
+    result, cycle-identical to [charge t stall]. On a hit ([stall = 0])
+    the busy counters would gain 0 and the sub-cycle remainder would not
+    move, so [charge t 0] reduces to [Clock.advance t.clock 0]: fire
+    platform events only when [next_at <= now]. The test is inline
+    because it fails on almost every data access, and [next_at] only
+    ever under-reports, so skipping the call can never skip an event. *)
 let charge_stall t stall =
   if stall <> 0 then begin
     t.stall_cycles <- t.stall_cycles + stall;
     charge t stall
   end
-  else Clock.run_due t.clock
+  else if t.clock.Clock.next_at <= t.clock.Clock.now then
+    Clock.run_due t.clock
 
 (** [fetch_cost t addr] is the stall cost of fetching from [addr] through
     this core's cache. *)

@@ -80,8 +80,14 @@ let add_region t r = t.regions <- r :: t.regions
 
 let in_ram t addr = addr >= t.ram_base && addr < t.ram_base + Bytes.length t.ram
 
-let find_region t addr =
-  List.find_opt (fun r -> addr >= r.rbase && addr < r.rbase + r.rsize) t.regions
+(* the latest-registered region claiming [addr], or [Not_found]: a
+   plain walk, so a device-register access allocates neither a
+   [List.find_opt] predicate closure nor an option *)
+let rec region_at addr = function
+  | [] -> raise Not_found
+  | r :: rest ->
+    if addr >= r.rbase && addr < r.rbase + r.rsize then r
+    else region_at addr rest
 
 (* Raw RAM accessors, little-endian. *)
 let ram_read t addr nbytes =
@@ -121,29 +127,48 @@ let ram_write32 t addr v =
 let read t addr nbytes =
   if in_ram t addr then ram_read t addr nbytes
   else
-    match find_region t addr with
-    | Some r -> r.rread (addr - r.rbase) nbytes land 0xFFFFFFFF
-    | None -> raise (Bus_fault { addr; write = false })
+    match region_at addr t.regions with
+    | r -> r.rread (addr - r.rbase) nbytes land 0xFFFFFFFF
+    | exception Not_found -> raise (Bus_fault { addr; write = false })
 
 (** [write t addr nbytes v] — core- or DBT-initiated write. *)
 let write t addr nbytes v =
   if in_ram t addr then ram_write t addr nbytes v
   else
-    match find_region t addr with
-    | Some r -> r.rwrite (addr - r.rbase) nbytes v
-    | None -> raise (Bus_fault { addr; write = true })
+    match region_at addr t.regions with
+    | r -> r.rwrite (addr - r.rbase) nbytes v
+    | exception Not_found -> raise (Bus_fault { addr; write = true })
+
+(* How many of the [n] bytes of a device transfer at DRAM offset [off]
+   lie in DRAM. The transfer touches that prefix in place; when it was
+   clipped, it then fails as the byte-wise [Bytes] access it models
+   would. *)
+let dma_in_ram t off n =
+  if off < 0 then 0 else max 0 (min n (Bytes.length t.ram - off))
 
 (** [dma_read t addr n] models a device reading [n] bytes from DRAM
-    (counted as DRAM traffic, bypassing core caches). Returns the bytes
-    as ints. *)
+    (counted as DRAM traffic, bypassing core caches). The device model
+    consumes no data, so nothing is copied out. *)
 let dma_read t addr n =
   t.dma_read_bytes <- t.dma_read_bytes + n;
-  List.init n (fun i -> ram_read t (addr + i) 1)
+  if dma_in_ram t (addr - t.ram_base) n < n then
+    invalid_arg "index out of bounds"
 
-(** [dma_write t addr bytes] models a device writing to DRAM. *)
-let dma_write t addr bytes =
-  t.dma_write_bytes <- t.dma_write_bytes + List.length bytes;
-  List.iteri (fun i b -> ram_write t (addr + i) 1 b) bytes
+(** [dma_write t addr n byte] models a device writing [n] bytes to DRAM,
+    byte [i] being [byte i land 0xFF]. *)
+let dma_write t addr n byte =
+  t.dma_write_bytes <- t.dma_write_bytes + n;
+  let off = addr - t.ram_base in
+  let len = dma_in_ram t off n in
+  if len > 0 then begin
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set t.ram (off + i) (Char.unsafe_chr (byte i land 0xFF))
+    done;
+    for p = off lsr page_bits to (off + len - 1) lsr page_bits do
+      Bytes.unsafe_set t.page_touched p '\001'
+    done
+  end;
+  if len < n then invalid_arg "index out of bounds"
 
 (** [load_image t (img : Tk_isa.Asm.image)] copies a linked guest image
     into DRAM at its base address. *)

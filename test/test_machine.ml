@@ -104,10 +104,28 @@ let test_mem_bounds () =
 let test_dma_counters () =
   let soc = Soc.create () in
   let before = soc.Soc.mem.Mem.dma_read_bytes in
-  ignore (Mem.dma_read soc.Soc.mem Soc.ram_base 128);
+  Mem.dma_read soc.Soc.mem Soc.ram_base 128;
   checki "dma read counted" 128 (soc.Soc.mem.Mem.dma_read_bytes - before);
-  Mem.dma_write soc.Soc.mem Soc.ram_base [ 1; 2; 3 ];
-  checki "dma write landed" 1 (Mem.read soc.Soc.mem Soc.ram_base 1)
+  Mem.dma_write soc.Soc.mem Soc.ram_base 3 (fun i -> i + 1);
+  checki "dma write landed" 1 (Mem.read soc.Soc.mem Soc.ram_base 1);
+  (* a transfer straddling a page boundary marks both pages, bytes
+     masked to 8 bits *)
+  let mem = soc.Soc.mem in
+  for i = 0 to 2 do Mem.set_page_touched mem i false done;
+  Mem.dma_write mem (Soc.ram_base + Mem.page_size - 2) 4 (fun i -> 0x100 + i);
+  checkb "page 0 marked" true (Mem.page_touched mem 0);
+  checkb "page 1 marked" true (Mem.page_touched mem 1);
+  checkb "page 2 untouched" false (Mem.page_touched mem 2);
+  checki "byte masked" 3 (Mem.read mem (Soc.ram_base + Mem.page_size + 1) 1);
+  (* running off the top of DRAM fails once the in-range prefix landed *)
+  let top = Soc.ram_base + Bytes.length mem.Mem.ram - 2 in
+  (match Mem.dma_write mem top 4 (fun _ -> 0xAA) with
+  | () -> Alcotest.fail "expected an out-of-range dma write to fail"
+  | exception Invalid_argument _ ->
+    checki "in-range prefix written" 0xAA (Mem.read mem (top + 1) 1));
+  match Mem.dma_read mem top 4 with
+  | () -> Alcotest.fail "expected an out-of-range dma read to fail"
+  | exception Invalid_argument _ -> ()
 
 let test_timer_tick () =
   let soc = Soc.create () in

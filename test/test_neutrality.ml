@@ -180,6 +180,100 @@ let test_chaining_equivalence () =
   Alcotest.(check (list int)) "warn codes" w_off w_on;
   Alcotest.(check int) "final exit r0" r_off r_on
 
+(* ------------------- allocation-free steady state -------------------- *)
+
+(* The host-side companion of the goldens above: the per-access and
+   per-instruction paths of both cores allocate nothing, so a warm
+   cycle allocates only per block, per phase and per event. Minor words
+   are read around [f] and compared against an empty [f] (reading the
+   counter itself boxes a float), as in test_timeseries. *)
+module Exec = Tk_isa.Exec
+module Types = Tk_isa.Types
+
+let minor_delta f =
+  let a = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. a
+
+let check_no_alloc what f =
+  let baseline = minor_delta (fun () -> ()) in
+  Alcotest.(check (float 0.0)) (what ^ " allocates nothing") baseline
+    (minor_delta f)
+
+let test_run_due_alloc () =
+  let empty = Clock.create () in
+  check_no_alloc "run_due, empty queue" (fun () ->
+      for _ = 1 to 1000 do Clock.run_due empty done);
+  let pending = Clock.create () in
+  Clock.after_ pending 1_000 ignore;
+  check_no_alloc "run_due, nothing due" (fun () ->
+      for _ = 1 to 1000 do Clock.run_due pending done);
+  (* a root cleared without its cancel handle's purge: the state
+     [run_due] cleans up on its way to the next live event *)
+  let dead_root () =
+    let c = Clock.create () in
+    Clock.after_ c 10 ignore;
+    Clock.after_ c 1_000 ignore;
+    c.Clock.heap.(0).Clock.live <- false;
+    c
+  in
+  let qs = Array.init 100 (fun _ -> dead_root ()) in
+  check_no_alloc "run_due, dead root" (fun () -> Array.iter Clock.run_due qs);
+  Alcotest.(check int) "dead root purged" 1 qs.(0).Clock.size;
+  Alcotest.(check int) "next_at refreshed" 1_000 qs.(0).Clock.next_at
+
+let test_charge_stall_alloc () =
+  let clock = Clock.create () in
+  Clock.after_ clock 1_000 ignore;
+  let cache = Cache.create ~name:"m3" ~size_kb:16 ~miss_penalty:20 in
+  let core = Core.create ~clock ~cache Soc.m3_params in
+  check_no_alloc "charge_stall on a hit" (fun () ->
+      for _ = 1 to 1000 do Core.charge_stall core 0 done)
+
+let test_ldm_stm_alloc () =
+  let cpu = Exec.make_cpu () in
+  let env =
+    { Exec.load = (fun _ _ -> 0); store = (fun _ _ _ -> ());
+      svc = (fun _ _ -> ()); wfi = ignore; irq_ret = ignore;
+      undef = (fun _ _ -> ()) }
+  in
+  cpu.Exec.r.(Types.sp) <- 0x2000_0000;
+  let regs = [ 4; 5; 6; 7; Types.lr ] in
+  let stm = Types.at (Types.Stm (Types.sp, true, regs)) in
+  let ldm = Types.at (Types.Ldm (Types.sp, true, regs)) in
+  check_no_alloc "Exec.step of STM/LDM" (fun () ->
+      for _ = 1 to 1000 do
+        ignore (Exec.step cpu env ~addr:0x1000 stm);
+        ignore (Exec.step cpu env ~addr:0x1000 ldm)
+      done);
+  Alcotest.(check int) "sp balanced" 0x2000_0000 cpu.Exec.r.(Types.sp)
+
+(* one warm cycle, after three warm-up cycles, allocates under 0.1 minor
+   words per instruction retired on either core: ~0.02 is per-block and
+   per-event work, while one allocation per data access costs ~2 *)
+let check_warm_cycle what (soc : Soc.t) cycle =
+  for _ = 1 to 3 do cycle () done;
+  let instrs () = soc.Soc.m3.Core.instructions + soc.Soc.cpu.Core.instructions in
+  let i0 = instrs () in
+  let words = minor_delta cycle in
+  let per_instr = words /. float_of_int (instrs () - i0) in
+  if per_instr >= 0.1 then
+    Alcotest.failf "%s: %.4f minor words per instruction (bar 0.1)" what
+      per_instr
+
+let test_ark_warm_alloc () =
+  let ark = Ark_run.create () in
+  check_warm_cycle "ARK cycle" (Ark_run.plat ark).Tk_drivers.Platform.soc
+    (fun () ->
+      match Ark_run.suspend_resume_cycle ark with
+      | `Ok -> ()
+      | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r)
+
+let test_native_warm_alloc () =
+  let nat = Native_run.create () in
+  check_warm_cycle "native cycle" nat.Native_run.plat.Tk_drivers.Platform.soc
+    (fun () -> ignore (Native_run.suspend_resume_cycle nat))
+
 let () =
   if Sys.getenv_opt "TK_CAPTURE" <> None then begin
     Printf.printf "let golden_native =\n  %s\n" (pp (run_native ()));
@@ -206,4 +300,12 @@ let () =
             test_superblock_traced ] );
       ( "chaining ablation",
         [ Alcotest.test_case "on/off architectural equivalence" `Quick
-            test_chaining_equivalence ] ) ]
+            test_chaining_equivalence ] );
+      ( "allocation-free steady state",
+        [ Alcotest.test_case "Clock.run_due" `Quick test_run_due_alloc;
+          Alcotest.test_case "Core.charge_stall hit" `Quick
+            test_charge_stall_alloc;
+          Alcotest.test_case "Exec.step LDM/STM" `Quick test_ldm_stm_alloc;
+          Alcotest.test_case "warm ARK cycle" `Quick test_ark_warm_alloc;
+          Alcotest.test_case "warm native cycle" `Quick
+            test_native_warm_alloc ] ) ]
