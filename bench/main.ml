@@ -1,14 +1,19 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§7) from the simulation. Run with no arguments for the
-   full suite, or with a subset of:
+   evaluation (§7) from the simulation. Run with no arguments for all of
+   them, or with a subset of:
 
      table3 table4 table5 table6 fig3 fig5 fig6 fig7
-     abi services fallback dram biglittle battery aarch64 bechamel
+     abi services fallback dram biglittle battery aarch64 ablation
+
+   Every one of these is deterministic. `lockstep` (host wall-clock
+   throughput of the lockstep scheduler) runs only when named.
 
    Options: --runs N (fallback stress iterations, default 200; the paper
-   uses 1000). Absolute numbers are simulator cycles/energies — the
-   SHAPES (who wins, by what factor, where break-evens sit) are the
-   reproduction targets; see EXPERIMENTS.md. *)
+   uses 1000); for lockstep, --smoke (short run, bar not enforced) and
+   --record F (write the figures to F). Absolute numbers are simulator
+   cycles/energies — the SHAPES (who wins, by what factor, where
+   break-evens sit) are the reproduction targets; see EXPERIMENTS.md.
+   Simulator host speed is measured by perfbench/. *)
 
 open Tk_harness
 open Tk_stats
@@ -686,589 +691,6 @@ let ablation () =
     [ [ "native"; f2 (native_phase false); f2 (native_phase true) ];
       [ "ARK"; f2 (ark_phase false); f2 (ark_phase true) ] ]
 
-(* ----------------------------- bechamel ------------------------------ *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let plat = lazy (Tk_drivers.Platform.create ()) in
-  let t_translate =
-    Test.make ~name:"table3/4: translate one kernel function"
-      (Staged.stage (fun () ->
-           let plat = Lazy.force plat in
-           let soc = plat.Tk_drivers.Platform.soc in
-           let e = Tk_dbt.Engine.create ~soc ~mode:Translator.Ark () in
-           ignore
-             (Tk_dbt.Engine.entry_host e
-                (Tk_isa.Asm.symbol
-                   plat.Tk_drivers.Platform.built.Tk_kernel.Image.image
-                   "kmalloc"))))
-  in
-  let nat_run = lazy (Native_run.create ()) in
-  let t_native =
-    Test.make ~name:"fig5: one native suspend/resume cycle"
-      (Staged.stage (fun () ->
-           ignore (Native_run.suspend_resume_cycle (Lazy.force nat_run))))
-  in
-  let ark_run = lazy (Ark_run.create ()) in
-  let t_ark =
-    Test.make ~name:"fig5/6: one offloaded suspend/resume cycle"
-      (Staged.stage (fun () ->
-           ignore (Ark_run.suspend_resume_cycle (Lazy.force ark_run))))
-  in
-  let t_whatif =
-    Test.make ~name:"fig7: what-if grid"
-      (Staged.stage (fun () ->
-           ignore
-             (Tk_energy.Whatif.grid
-                ~overheads:[ 1.; 5.; 10.; 15. ]
-                ~busy_fracs:[ 0.2; 0.6; 1.0 ]
-                ())))
-  in
-  let tests = [ t_translate; t_native; t_ark; t_whatif ] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) () in
-  Printf.printf "\n== bechamel micro-benchmarks (simulator wall-clock) ==\n%!";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let res = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name r ->
-          match Analyze.OLS.estimates r with
-          | Some [ est ] ->
-            Printf.printf "  %-45s %10.3f ms/run\n" name (est /. 1e6)
-          | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-        res)
-    tests
-
-(* ---------------------------- throughput ----------------------------- *)
-
-(* Simulator host throughput: simulated instructions retired per wall
-   second, measured per tier — the native-A9 arm (Interp), the DBT-M3
-   arm (Engine, block-at-a-time Ark mode), the superblock trace tier,
-   and the superblock tier warm-started from a persistent translation
-   cache. This is the metric host-side perf PRs move; the simulated
-   cycle counters the cycle-NEUTRAL tiers must not move are pinned by
-   test/test_neutrality.ml (the superblock tier is cycle-accounted and
-   gated by `arksim report` instead). Records a BENCH_N.json (schema
-   documented in README "Telemetry") so the perf trajectory is tracked
-   across PRs and gated by `arksim report`. *)
-let throughput ~smoke ~record () =
-  let cycles = if smoke then 1 else 8 in
-  Printf.printf
-    "\n== simulator throughput (%d warm suspend/resume cycles per arm%s) ==\n%!"
-    cycles
-    (if smoke then ", smoke" else "");
-  let t0 = Unix.gettimeofday () in
-  (* native arm *)
-  let nat = Native_run.create () in
-  ignore (Native_run.suspend_resume_cycle nat);
-  let a9 = nat.Native_run.plat.Tk_drivers.Platform.soc.Soc.cpu in
-  let i0 = a9.Tk_machine.Core.instructions in
-  let w0 = Unix.gettimeofday () in
-  for _ = 1 to cycles do
-    ignore (Native_run.suspend_resume_cycle nat)
-  done;
-  let native_wall = Unix.gettimeofday () -. w0 in
-  let native_instrs = a9.Tk_machine.Core.instructions - i0 in
-  let mips_native = float_of_int native_instrs /. native_wall /. 1e6 in
-  Printf.printf "  native arm:      %9d sim instrs in %6.2f s -> %7.2f sim-MIPS\n%!"
-    native_instrs native_wall mips_native;
-  (* DBT arms: the cycle interleaves native freeze/thaw with the
-     offloaded phases, so count both cores' retired instructions.
-     [measure_first] includes the translation-heavy first cycle in the
-     window — that is where a warm-started cache earns its keep. *)
-  let dbt_arm ?(superblock = false) ?cache_dir ?(measure_first = false) label
-      =
-    let ark = Ark_run.create ~superblock ?cache_dir () in
-    let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
-    let count () =
-      soc.Soc.m3.Tk_machine.Core.instructions
-      + soc.Soc.cpu.Tk_machine.Core.instructions
-    in
-    if not measure_first then ignore (Ark_run.suspend_resume_cycle ark);
-    let j0 = count () in
-    let w = Unix.gettimeofday () in
-    for _ = 1 to cycles do
-      ignore (Ark_run.suspend_resume_cycle ark)
-    done;
-    let wall = Unix.gettimeofday () -. w in
-    let instrs = count () - j0 in
-    let mips = float_of_int instrs /. wall /. 1e6 in
-    Printf.printf
-      "  %-15s %9d sim instrs in %6.2f s -> %7.2f sim-MIPS\n%!" label instrs
-      wall mips;
-    Ark_run.save_cache ark;
-    (instrs, mips)
-  in
-  let dbt_instrs, mips_dbt = dbt_arm "DBT arm:" in
-  let sb_instrs, mips_sb = dbt_arm ~superblock:true "superblock:" in
-  (* warm-start arm: one cold run populates a scratch cache dir, then a
-     fresh engine replays it with its startup cycle inside the window *)
-  let cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tkbench-cache-%d" (Unix.getpid ()))
-  in
-  let _ = dbt_arm ~superblock:true ~cache_dir "sb cold+save:" in
-  let sbw_instrs, mips_sbw =
-    dbt_arm ~superblock:true ~cache_dir ~measure_first:true
-      "sb warm-start:"
-  in
-  (if Sys.file_exists cache_dir then
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat cache_dir f))
-       (Sys.readdir cache_dir);
-   try Unix.rmdir cache_dir with Unix.Unix_error _ -> ());
-  let wall = Unix.gettimeofday () -. t0 in
-  let file =
-    match record with
-    | Some f -> Some f
-    | None when not smoke -> Some "BENCH_2.json"
-    | None -> None
-  in
-  match file with
-  | None -> ()
-  | Some f ->
-    (* BENCH schema: the gate metrics stay at top level (report's
-       --only matches them bare), the deterministic instruction counts
-       ride along for context *)
-    let open Run_manifest in
-    write_file f
-      (Obj
-         [ ("schema", Str "arksim-bench-v1");
-           ( "meta",
-             Obj [ ("git_rev", Str (git_rev ())); ("cycles", Int cycles) ] );
-           ("sim_mips_native", Num mips_native);
-           ("sim_mips_dbt", Num mips_dbt);
-           ("sim_mips_superblock", Num mips_sb);
-           ("sim_mips_superblock_warm", Num mips_sbw);
-           ("superblock_speedup", Num (mips_sb /. mips_dbt));
-           ("suite_wall_s", Num wall);
-           ("native_instrs", Int native_instrs);
-           ("dbt_instrs", Int dbt_instrs);
-           ("superblock_instrs", Int sb_instrs);
-           ("superblock_warm_instrs", Int sbw_instrs) ]);
-    Printf.printf "  wrote %s\n%!" f
-
-(* ----------------------------- certifier ----------------------------- *)
-
-(* The static-analysis passes' cost — the whole-image certifier sweep
-   over every formable superblock plan and the abstract-interpretation
-   store classification — beside the superblock tier's throughput.
-   The headline gate is [sim_mips_superblock]. Records BENCH_4.json. *)
-let certifier_bench ~smoke ~record () =
-  let cycles = if smoke then 1 else 8 in
-  Printf.printf
-    "\n== translation certifier + abstract interpretation (%d warm \
-     cycles%s) ==\n%!"
-    cycles
-    (if smoke then ", smoke" else "");
-  (* offline sweep: every plan the planner can form on the seed image *)
-  let built = Tk_drivers.Platform.build_image () in
-  let image = built.Tk_kernel.Image.image in
-  let abi = built.Tk_kernel.Image.abi in
-  let classify a =
-    match abi.Tk_kernel.Kabi.name_of_addr a with
-    | Some n when List.mem n Transkernel.Ark.emulated_services ->
-      Translator.T_emu n
-    | Some n when List.mem n Transkernel.Ark.hooked_services ->
-      Translator.T_hook n
-    | Some n when List.mem n Tk_kernel.Kabi.cold -> Translator.T_cold n
-    | Some _ | None -> Translator.T_normal
-  in
-  let w0 = Unix.gettimeofday () in
-  let cert = Tk_analysis.Certify.certify_image ~classify_target:classify image in
-  let certify_wall = Unix.gettimeofday () -. w0 in
-  Printf.printf
-    "  certifier:       %d plans over %d states in %5.2f s (%d divergent)\n%!"
-    cert.Tk_analysis.Certify.r_plans cert.Tk_analysis.Certify.r_states
-    certify_wall cert.Tk_analysis.Certify.r_divergent;
-  let w1 = Unix.gettimeofday () in
-  let absr = Tk_analysis.Absint.analyze (Tk_analysis.Cfg.build image) in
-  let absint_wall = Unix.gettimeofday () -. w1 in
-  Printf.printf "  absint:          %d clean ranges in %5.2f s\n%!"
-    (List.length absr.Tk_analysis.Absint.a_clean_ranges)
-    absint_wall;
-  (* runtime arm: the superblock tier *)
-  let mips =
-    let ark = Ark_run.create ~superblock:true () in
-    let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
-    let count () =
-      soc.Soc.m3.Tk_machine.Core.instructions
-      + soc.Soc.cpu.Tk_machine.Core.instructions
-    in
-    ignore (Ark_run.suspend_resume_cycle ark);
-    let j0 = count () in
-    let w = Unix.gettimeofday () in
-    for _ = 1 to cycles do
-      ignore (Ark_run.suspend_resume_cycle ark)
-    done;
-    let wall = Unix.gettimeofday () -. w in
-    let instrs = count () - j0 in
-    let mips = float_of_int instrs /. wall /. 1e6 in
-    Printf.printf
-      "  superblock:      %9d sim instrs in %6.2f s -> %7.2f sim-MIPS\n%!"
-      instrs wall mips;
-    mips
-  in
-  let file =
-    match record with
-    | Some f -> Some f
-    | None when not smoke -> Some "BENCH_4.json"
-    | None -> None
-  in
-  match file with
-  | None -> ()
-  | Some f ->
-    let open Run_manifest in
-    write_file f
-      (Obj
-         [ ("schema", Str "arksim-certify-bench-v1");
-           ( "meta",
-             Obj [ ("git_rev", Str (git_rev ())); ("cycles", Int cycles) ] );
-           ("sim_mips_superblock", Num mips);
-           ("certified_plans", Int cert.Tk_analysis.Certify.r_plans);
-           ("certified_states", Int cert.Tk_analysis.Certify.r_states);
-           ("divergent_plans", Int cert.Tk_analysis.Certify.r_divergent);
-           ("clean_ranges", Int (List.length absr.Tk_analysis.Absint.a_clean_ranges));
-           ("clean_words", Int (Tk_analysis.Absint.clean_words absr));
-           ("certify_wall_s", Num certify_wall);
-           ("absint_wall_s", Num absint_wall) ]);
-    Printf.printf "  wrote %s\n%!" f
-
-(* -------------------------------- sweep ------------------------------ *)
-
-(* Campaign-runner scaling: the same stress campaign at increasing
-   worker counts, with the digest pinned equal across all of them (the
-   determinism invariant `arksim sweep` advertises). Speedup is
-   host-dependent — on a single-core host the extra domains just
-   time-slice — so the digest check is the hard gate and the timing
-   table is telemetry. *)
-let sweep_bench ~smoke ~record () =
-  let module Campaign = Tk_campaign.Campaign in
-  let tasks = if smoke then 2 else 8 in
-  let cores = Domain.recommended_domain_count () in
-  let job_points =
-    List.sort_uniq compare (1 :: 2 :: 4 :: [ max 1 (cores - 2) ])
-  in
-  Printf.printf
-    "\n== campaign scaling (stress, %d tasks; host has %d core(s)) ==\n%!"
-    tasks cores;
-  let runs =
-    List.map
-      (fun jobs ->
-        let cfg =
-          { (Campaign.default_config Campaign.Stress) with
-            Campaign.tasks; jobs; seed = 1 }
-        in
-        let t = Campaign.run cfg in
-        (jobs, t))
-      job_points
-  in
-  let _, t1 = List.hd runs in
-  let digests_agree =
-    List.for_all (fun (_, t) -> t.Campaign.digest = t1.Campaign.digest) runs
-  in
-  Report.table ~title:"campaign wall time by worker count"
-    ~header:[ "jobs"; "wall (s)"; "speedup vs -j1"; "digest" ]
-    (List.map
-       (fun (jobs, t) ->
-         [ string_of_int jobs;
-           f2 t.Campaign.wall_s;
-           fx (t1.Campaign.wall_s /. max 1e-9 t.Campaign.wall_s);
-           t.Campaign.digest ])
-       runs);
-  Printf.printf "digest invariant across -j: %s\n%!"
-    (if digests_agree then "holds" else "VIOLATED");
-  (match record with
-  | None -> ()
-  | Some f ->
-    let open Run_manifest in
-    write_file f
-      (Obj
-         ([ ("schema", Str "arksim-sweep-bench-v1");
-            ( "meta",
-              Obj
-                [ ("git_rev", Str (git_rev ())); ("tasks", Int tasks);
-                  ("host_cores", Int cores) ] );
-            ("digest", Str t1.Campaign.digest);
-            ("digests_agree", Int (if digests_agree then 1 else 0)) ]
-         @ List.map
-             (fun (jobs, t) ->
-               (Printf.sprintf "wall_s_j%d" jobs, Num t.Campaign.wall_s))
-             runs));
-    Printf.printf "  wrote %s\n%!" f);
-  if not digests_agree then exit 1
-
-(* -------------------------------- fleet ------------------------------ *)
-
-(* Fleet-scale population throughput (devices·wakeups/sec): the sharded
-   snapshot runner versus the naive idiom it replaces — one fresh SoC
-   world per device-instance. Both arms run the same arrival traces
-   (same per-instance PRNG streams), so the simulated work is identical;
-   what differs is the host cost of putting an instance into its
-   defined starting state: the warmed DBT fixpoint (Fleet's contract —
-   cache-pressure histograms and latency percentiles are simulated
-   figures, and a cold world reports different ones: compulsory cache
-   misses, unformed traces). The fleet pays boot + warmup once per
-   shard and a sub-millisecond snapshot restore per instance; the naive
-   implementation of the same specification pays boot + warmup per
-   instance. The naive arm samples one instance per device
-   configuration rather than the whole population — its per-instance
-   cost is constant, and sampling keeps the bench wall time sane. *)
-let fleet_bench ~smoke ~record () =
-  let module Fleet = Tk_fleet.Fleet in
-  let devices = if smoke then 12 else 480 in
-  let jobs = 8 in
-  let cores = Domain.recommended_domain_count () in
-  let cfg =
-    { Fleet.default_config with
-      Fleet.devices; jobs;
-      (* fleet-shaped workload: a large population of mostly-idle
-         devices, each waking about once in the window — the regime the
-         snapshot machinery exists for *)
-      duration_ms = 10; mean_gap_ms = 40; shard_cap = 128 }
-  in
-  Printf.printf
-    "\n== fleet population throughput (%d devices, -j%d; host has %d \
-     core(s)) ==\n%!"
-    devices jobs cores;
-  (* naive arm: fresh world per instance, one instance per dconfig *)
-  let sample_ids =
-    List.init (min devices (4 * Array.length Fleet.dconfigs)) Fun.id
-  in
-  let lat = Sketch.create ()
-  and pressure = Sketch.create ()
-  and energy_sk = Sketch.create () in
-  let w0 = Unix.gettimeofday () in
-  let naive_wakeups =
-    List.fold_left
-      (fun acc id ->
-        let dc = Fleet.dconfigs.(Fleet.config_of_instance id) in
-        let ark =
-          Ark_run.create ~devices:dc.Fleet.dc_devices
-            ~superblock:dc.Fleet.dc_superblock ()
-        in
-        ignore (Fleet.warmup ark ~dc);
-        let row =
-          Fleet.run_instance cfg dc ark ~lat ~pressure ~energy_sk ~id
-        in
-        acc + row.Fleet.i_wakeups)
-      0 sample_ids
-  in
-  let naive_wall = Unix.gettimeofday () -. w0 in
-  let naive_wps = float_of_int naive_wakeups /. max 1e-9 naive_wall in
-  (* fleet arm: same population shape, sharded snapshot runner *)
-  let t = Fleet.run cfg in
-  if Fleet.failed t then (
-    (match Fleet.first_error t with
-    | Some (i, msg) -> Printf.eprintf "fleet bench: shard %d failed: %s\n" i msg
-    | None -> ());
-    exit 1);
-  let fleet_wakeups = Fleet.counter t "fleet.wakeups" in
-  let fleet_wps = float_of_int fleet_wakeups /. max 1e-9 t.Fleet.wall_s in
-  let speedup = fleet_wps /. max 1e-9 naive_wps in
-  Report.table ~title:"population throughput (devices·wakeups/sec)"
-    ~header:[ "arm"; "instances"; "wakeups"; "wall (s)"; "wakeups/s" ]
-    [ [ "naive (fresh world/instance)"; string_of_int (List.length sample_ids);
-        string_of_int naive_wakeups; f2 naive_wall; f2 naive_wps ];
-      [ "fleet (shared snapshots)"; string_of_int devices;
-        string_of_int fleet_wakeups; f2 t.Fleet.wall_s; f2 fleet_wps ] ];
-  Printf.printf "fleet speedup over naive: %s  (digest %s)\n%!" (fx speedup)
-    t.Fleet.digest;
-  let file =
-    match record with
-    | Some f -> Some f
-    | None when not smoke -> Some "BENCH_3.json"
-    | None -> None
-  in
-  match file with
-  | None -> ()
-  | Some f ->
-    let open Run_manifest in
-    write_file f
-      (Obj
-         [ ("schema", Str "arksim-fleet-bench-v1");
-           ( "meta",
-             Obj
-               [ ("git_rev", Str (git_rev ())); ("devices", Int devices);
-                 ("jobs", Int jobs); ("host_cores", Int cores);
-                 ("duration_ms", Int cfg.Fleet.duration_ms);
-                 ("naive_sample", Int (List.length sample_ids)) ] );
-           ("wakeups_per_s_fleet", Num fleet_wps);
-           ("wakeups_per_s_naive", Num naive_wps);
-           ("fleet_speedup", Num speedup);
-           ("fleet_wakeups", Int fleet_wakeups);
-           ("naive_wakeups", Int naive_wakeups);
-           ("digest", Str t.Fleet.digest) ]);
-    Printf.printf "  wrote %s\n%!" f
-
-(* -------------------------------- trace ------------------------------ *)
-
-(* Flight-recorder showcase: one traced + profiled offloaded cycle with
-   its per-phase table and hot blocks, plus the host-side cost of
-   tracing (the simulated counters are identical either way — pinned by
-   test/test_neutrality.ml). *)
-let trace_bench () =
-  Printf.printf "\n== flight recorder (traced offloaded cycle) ==\n%!";
-  let ark = Ark_run.create () in
-  ignore (Ark_run.suspend_resume_cycle ark);  (* warm: translations done *)
-  let tr = Ark_run.trace ark in
-  let engine = ark.Ark_run.ark.Transkernel.Ark.engine in
-  engine.Tk_dbt.Engine.profile <- true;
-  (* untraced warm cycle wall-clock *)
-  let w0 = Unix.gettimeofday () in
-  ignore (Ark_run.suspend_resume_cycle ark);
-  let untraced = Unix.gettimeofday () -. w0 in
-  (* traced warm cycle *)
-  Trace.enable tr;
-  let w1 = Unix.gettimeofday () in
-  ignore (Ark_run.suspend_resume_cycle ark);
-  let traced = Unix.gettimeofday () -. w1 in
-  Trace.disable tr;
-  let devices = ark.Ark_run.nat.Native_run.devices in
-  let phase_name code =
-    let open Tk_kernel.Hyper in
-    if code = ph_suspend_begin then "suspend_begin"
-    else if code = ph_suspend_end then "suspend_end"
-    else if code = ph_resume_begin then "resume_begin"
-    else if code = ph_resume_end then "resume_end"
-    else if code = 900 then "sleep_begin"
-    else if code = 901 then "sleep_end"
-    else if code >= ph_dev_mark then
-      let i = (code - ph_dev_mark) / 10 in
-      let k = (code - ph_dev_mark) mod 10 in
-      Printf.sprintf "%s:%s"
-        (Option.value ~default:(string_of_int i) (List.nth_opt devices i))
-        (match k with
-        | 0 -> "suspend.b" | 1 -> "suspend.e"
-        | 2 -> "resume.b" | 3 -> "resume.e"
-        | _ -> string_of_int k)
-    else string_of_int code
-  in
-  Trace.summary ~phase_name tr;
-  let rows = Tk_dbt.Engine.profile_blocks engine in
-  Report.table ~title:"DBT hot blocks (top 10 by executions)"
-    ~header:[ "guest_pc"; "execs"; "chain_hit"; "g_insts"; "h_words" ]
-    (List.filteri (fun i _ -> i < 10) rows
-    |> List.map (fun (bp : Tk_dbt.Engine.block_profile) ->
-           [ Printf.sprintf "0x%x" bp.Tk_dbt.Engine.bp_guest;
-             string_of_int bp.Tk_dbt.Engine.bp_execs;
-             Report.pct (Tk_dbt.Engine.chain_rate bp);
-             string_of_int bp.Tk_dbt.Engine.bp_guest_insts;
-             string_of_int bp.Tk_dbt.Engine.bp_host_words ]));
-  Printf.printf
-    "\nhost cost of tracing: %.2f ms/cycle untraced, %.2f ms/cycle traced \
-     (%.1fx; zero when disabled by construction)\n"
-    (untraced *. 1e3) (traced *. 1e3) (traced /. untraced)
-
-(* ---------------------------- span tracer ---------------------------- *)
-
-(* The causal span tracer's two costs, on the warm superblock tier:
-   the disabled probe (hoisted-bool pattern: must be measurement noise,
-   gated at 5%) and the enabled recorder (gated at 25%). Also records
-   spans/sec and the wakeup-tree reconciliation residual. Records
-   BENCH_5.json; the absolute bars fail the bench itself, the recorded
-   figures are gated across PRs by `arksim report`. *)
-let spans_bench ~smoke ~record () =
-  let cycles = if smoke then 2 else 8 in
-  let reps = if smoke then 1 else 3 in
-  Printf.printf
-    "\n== span tracer overhead (%d warm superblock cycles per arm, best of \
-     %d%s) ==\n%!"
-    cycles reps
-    (if smoke then ", smoke" else "");
-  let t0 = Unix.gettimeofday () in
-  let ark = Ark_run.create ~superblock:true () in
-  let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
-  let sp = soc.Soc.spans in
-  let count () =
-    soc.Soc.m3.Tk_machine.Core.instructions
-    + soc.Soc.cpu.Tk_machine.Core.instructions
-  in
-  ignore (Ark_run.suspend_resume_cycle ark);  (* warm: translations done *)
-  let arm label =
-    (* best-of-reps: consecutive identical runs jitter by several
-       percent on a shared host, and the off-vs-baseline delta we gate
-       on is smaller than that jitter; the fastest rep of each arm is
-       the least-perturbed sample *)
-    let best = ref neg_infinity and tot_wall = ref 0.0 in
-    for _ = 1 to reps do
-      let i0 = count () in
-      let w0 = Unix.gettimeofday () in
-      for _ = 1 to cycles do
-        ignore (Ark_run.suspend_resume_cycle ark)
-      done;
-      let wall = Unix.gettimeofday () -. w0 in
-      tot_wall := !tot_wall +. wall;
-      let mips = float_of_int (count () - i0) /. wall /. 1e6 in
-      if mips > !best then best := mips
-    done;
-    Printf.printf "  %-12s %6.2f s -> %7.2f sim-MIPS\n%!" label !tot_wall
-      !best;
-    (!tot_wall, !best)
-  in
-  let _, mips_base = arm "baseline:" in
-  let _, mips_off = arm "spans off:" in
-  Tk_stats.Span.enable sp;
-  let wall_on, mips_on = arm "spans on:" in
-  let recorded = Tk_stats.Span.spans sp in
-  let recon = Tk_stats.Span.reconcile sp in
-  Tk_stats.Span.disable sp;
-  let overhead base mips = max 0.0 ((base -. mips) /. base *. 100.0) in
-  let off_pct = overhead mips_base mips_off in
-  let on_pct = overhead mips_base mips_on in
-  let spans_per_sec = float_of_int recorded /. wall_on in
-  let residual_pct =
-    100.0
-    *. Float.max recon.Tk_stats.Span.r_max_dur_residual
-         recon.Tk_stats.Span.r_max_attr_residual
-  in
-  Printf.printf
-    "  overhead: %.2f%% off (bar 5%%), %.2f%% on (bar 25%%); %d spans \
-     (%.0f/s); %d wakeup root(s), reconciliation residual %.4f%%\n%!"
-    off_pct on_pct recorded spans_per_sec recon.Tk_stats.Span.r_roots
-    residual_pct;
-  let wall = Unix.gettimeofday () -. t0 in
-  let file =
-    match record with
-    | Some f -> Some f
-    | None when not smoke -> Some "BENCH_5.json"
-    | None -> None
-  in
-  (match file with
-  | None -> ()
-  | Some f ->
-    let open Run_manifest in
-    write_file f
-      (Obj
-         [ ("schema", Str "arksim-bench-v1");
-           ( "meta",
-             Obj [ ("git_rev", Str (git_rev ())); ("cycles", Int cycles) ] );
-           ("span_overhead_off_pct", Num off_pct);
-           ("span_overhead_on_pct", Num on_pct);
-           ("spans_per_sec", Num spans_per_sec);
-           ("recon_residual_pct", Num residual_pct);
-           ("sim_mips_spans_off", Num mips_off);
-           ("sim_mips_spans_on", Num mips_on);
-           ("suite_wall_s", Num wall);
-           ("spans_recorded", Int recorded);
-           ("wakeup_roots", Int recon.Tk_stats.Span.r_roots) ]);
-    Printf.printf "  wrote %s\n%!" f);
-  (* absolute bars: the disabled probe must be noise and the recorder
-     cheap; the reconciliation ledger must hold its 0.1% bar *)
-  if off_pct > 5.0 || on_pct > 25.0 || residual_pct > 0.1 then begin
-    Printf.eprintf
-      "spans bench: BAR EXCEEDED (off %.2f%% > 5, on %.2f%% > 25, or \
-       residual %.4f%% > 0.1)\n"
-      off_pct on_pct residual_pct;
-    exit 1
-  end
-
 (* --------------------------- lockstep -------------------------------- *)
 
 (* The bounded-quantum lockstep scheduler's throughput claim: a
@@ -1280,8 +702,9 @@ let spans_bench ~smoke ~record () =
    scheduler, the deterministic interleave, and one-domain-per-core
    ([--concurrent-cores domains]; on a multicore host the barrier is a
    real synchronization point and domains beats interleave as well).
-   Records BENCH_6.json; the concurrent-vs-sequential ratio is gated at
-   1.5x here, the recorded figures across PRs by `arksim report`. *)
+   [--record F] writes the figures in BENCH_6.json's format; the
+   concurrent-vs-sequential ratio is gated at 1.5x here, the recorded
+   figures across PRs by `arksim report`. *)
 let lockstep_bench ~smoke ~record () =
   let cycles = if smoke then 2 else 6 in
   let reps = if smoke then 1 else 3 in
@@ -1334,13 +757,7 @@ let lockstep_bench ~smoke ~record () =
     speedup host_cores ark_dom.Ark_run.ls_rounds
     ark_dom.Ark_run.ls_max_skew_ns;
   let wall = Unix.gettimeofday () -. t0 in
-  let file =
-    match record with
-    | Some f -> Some f
-    | None when not smoke -> Some "BENCH_6.json"
-    | None -> None
-  in
-  (match file with
+  (match record with
   | None -> ()
   | Some f ->
     let open Run_manifest in
@@ -1375,8 +792,7 @@ let lockstep_bench ~smoke ~record () =
 let all_names =
   [ "table3"; "table4"; "table5"; "table6"; "fig3"; "fig5"; "fig6"; "fig7";
     "abi"; "services"; "fallback"; "dram"; "biglittle"; "battery"; "aarch64";
-    "ablation"; "trace"; "throughput"; "certifier"; "sweep"; "fleet";
-    "spans"; "lockstep" ]
+    "ablation" ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1418,14 +834,7 @@ let () =
       | "battery" -> battery ()
       | "aarch64" -> aarch64 ()
       | "ablation" -> ablation ()
-      | "trace" -> trace_bench ()
-      | "throughput" -> throughput ~smoke:!smoke ~record:!record ()
-      | "certifier" -> certifier_bench ~smoke:!smoke ~record:!record ()
-      | "sweep" -> sweep_bench ~smoke:!smoke ~record:!record ()
-      | "fleet" -> fleet_bench ~smoke:!smoke ~record:!record ()
-      | "spans" -> spans_bench ~smoke:!smoke ~record:!record ()
       | "lockstep" -> lockstep_bench ~smoke:!smoke ~record:!record ()
-      | "bechamel" -> bechamel ()
       | other -> Printf.eprintf "unknown bench %s\n" other)
     selected;
   Printf.printf "\n(benchmarks done in %.1f s)\n" (Unix.gettimeofday () -. t0)

@@ -15,8 +15,9 @@
     task performs is independent of which worker ran it and of how many
     workers there were. Everything that lands in the document's
     deterministic sections ([meta]/[tasks]/[aggregate], digested) is a
-    pure function of the campaign identity; host figures (wall time,
-    jobs, core count) are quarantined in [host], outside the digest.
+    pure function of the campaign identity; host figures (git revision,
+    wall time, jobs, core count) are quarantined in [host], outside the
+    digest.
     The acceptance test: the same [--seed] produces byte-identical
     deterministic sections — and therefore the same digest — at any
     [--jobs] value. test/test_campaign.ml pins exactly that, for all
@@ -284,8 +285,7 @@ let run (cfg : config) =
   let meta =
     J.Obj
       [ ("kind", J.Str (kind_name kind)); ("seed", J.Int seed);
-        ("tasks", J.Int tasks);
-        ("git_rev", J.Str (Run_manifest.git_rev ())) ]
+        ("tasks", J.Int tasks) ]
   in
   let tasks_json = J.Arr task_docs in
   let aggregate =
@@ -305,7 +305,8 @@ let run (cfg : config) =
   in
   let host =
     J.Obj
-      [ ("jobs", J.Int jobs); ("wall_s", J.Num wall_s);
+      [ ("git_rev", J.Str (Run_manifest.git_rev ()));
+        ("jobs", J.Int jobs); ("wall_s", J.Num wall_s);
         ( "host_cores",
           J.Int (Domain.recommended_domain_count ()) ) ]
   in

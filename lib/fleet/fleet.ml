@@ -660,8 +660,7 @@ let run (cfg : config) =
         ( "configs",
           J.Arr
             (Array.to_list
-               (Array.map (fun d -> J.Str d.dc_name) dconfigs)) );
-        ("git_rev", J.Str (Run_manifest.git_rev ())) ]
+               (Array.map (fun d -> J.Str d.dc_name) dconfigs)) ) ]
   in
   let shards_json = J.Arr shard_docs in
   let aggregate =
@@ -687,7 +686,8 @@ let run (cfg : config) =
   let host_world = merge_counters (List.map (fun o -> o.o_host) ok_outs) in
   let host =
     J.Obj
-      [ ("jobs", J.Int cfg.jobs);
+      [ ("git_rev", J.Str (Run_manifest.git_rev ()));
+        ("jobs", J.Int cfg.jobs);
         ("schedule", J.Str (schedule_name cfg.schedule));
         ("quantum", J.Int cfg.quantum);
         ("wall_s", J.Num wall_s);

@@ -12,9 +12,9 @@
     {b The invariant:} the digested sections ([meta]/[shards]/
     [aggregate]) are a pure function of [(devices, arrival, seed,
     knobs)] — independent of [--jobs] {e and} of the order instances
-    execute within a shard. Anything host- or order-dependent (wall
-    time, jobs, world snapshot stats) lives in the undigested [host]
-    section. *)
+    execute within a shard. Anything host- or order-dependent (git
+    revision, wall time, jobs, world snapshot stats) lives in the
+    undigested [host] section. *)
 
 module J = Tk_harness.Run_manifest
 

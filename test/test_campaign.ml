@@ -8,7 +8,13 @@
    unobservable in the output. We pin that here for all three kinds;
    with a single-core CI host the 4-job runs just time-slice, which is
    exactly the point — the invariant is about scheduling freedom, not
-   parallel hardware. *)
+   parallel hardware.
+
+   The digest of CI's stress-sweep config is also pinned as a golden,
+   so a change to what the tasks simulate is caught, not just a change
+   that depends on --jobs. Run the binary with TK_CAPTURE=1 to print a
+   fresh golden; recapture only when the simulated model intentionally
+   changes. *)
 
 module Pool = Tk_campaign.Pool
 module Campaign = Tk_campaign.Campaign
@@ -120,6 +126,21 @@ let test_seed_sensitivity () =
   Alcotest.(check bool) "seed changes the digest" false
     (t_a.Campaign.digest = t_b.Campaign.digest)
 
+(* CI's "Campaign sweep + determinism check" config:
+   arksim sweep --kind stress --tasks 8 --seed 1 *)
+let smoke_config =
+  { (Campaign.default_config Campaign.Stress) with
+    Campaign.tasks = 8;
+    seed = 1 }
+
+let golden_smoke_digest = "1d525817f45e7566"
+
+let test_golden_digest () =
+  let t = Campaign.run smoke_config in
+  Alcotest.(check bool) "clean run" false (Campaign.failed t);
+  Alcotest.(check string) "smoke-config digest" golden_smoke_digest
+    t.Campaign.digest
+
 let test_campaign_error_capture () =
   (* fuzz_programs = 0 is degenerate but must not wedge; and a campaign
      whose tasks all succeed reports no errors *)
@@ -149,6 +170,11 @@ let test_first_error_propagation () =
   | None -> Alcotest.fail "first_error empty on a failed campaign"
 
 let () =
+  if Sys.getenv_opt "TK_CAPTURE" <> None then begin
+    Printf.printf "let golden_smoke_digest = %S\n"
+      (Campaign.run smoke_config).Campaign.digest;
+    exit 0
+  end;
   Alcotest.run "campaign"
     [ ( "pool",
         [ Alcotest.test_case "task-count conservation, ordered results"
@@ -166,7 +192,9 @@ let () =
           Alcotest.test_case "whatif: jobs=1 = jobs=4" `Quick
             (test_jobs_invariance Campaign.Whatif);
           Alcotest.test_case "seed moves the digest" `Quick
-            test_seed_sensitivity ] );
+            test_seed_sensitivity;
+          Alcotest.test_case "smoke-config digest is pinned" `Quick
+            test_golden_digest ] );
       ( "campaign",
         [ Alcotest.test_case "clean run reports no errors" `Quick
             test_campaign_error_capture;

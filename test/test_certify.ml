@@ -159,6 +159,19 @@ let side_exit_image () =
   in
   Asm.link ~base [ { Asm.name = "kernel_main"; items } ] []
 
+(* the seed kernel image under the call-target classification ARK
+   installs in the engine, as `arksim analyze --certify` sweeps it *)
+let seed_built = lazy (Tk_drivers.Platform.build_image ())
+
+let classify_seed (built : Tk_kernel.Image.built) a =
+  match built.Tk_kernel.Image.abi.Tk_kernel.Kabi.name_of_addr a with
+  | Some n when List.mem n Transkernel.Ark.emulated_services ->
+    Translator.T_emu n
+  | Some n when List.mem n Transkernel.Ark.hooked_services ->
+    Translator.T_hook n
+  | Some n when List.mem n Tk_kernel.Kabi.cold -> Translator.T_cold n
+  | Some _ | None -> Translator.T_normal
+
 (* --------------------------- certifier -------------------------------- *)
 
 let test_certify_clean_plan () =
@@ -209,6 +222,17 @@ let test_certify_image_sweep () =
   checkb "plans enumerated" true (r.Certify.r_plans >= 1);
   checki "zero divergent" 0 r.Certify.r_divergent;
   checki "no error findings" 0
+    (List.length (Finding.errors r.Certify.findings));
+  (* the seed kernel: every formable plan, counted exactly *)
+  let built = Lazy.force seed_built in
+  let r =
+    Certify.certify_image ~classify_target:(classify_seed built)
+      built.Tk_kernel.Image.image
+  in
+  checki "seed image: plans" 1407 r.Certify.r_plans;
+  checki "seed image: states" 28140 r.Certify.r_states;
+  checki "seed image: zero divergent" 0 r.Certify.r_divergent;
+  checki "seed image: no error findings" 0
     (List.length (Finding.errors r.Certify.findings))
 
 let test_engine_certifier_veto () =
@@ -317,7 +341,13 @@ let test_absint_stack_clean () =
       checkb "whole function's words are clean" true
         (Absint.clean_words r * 4 >= v.Absint.v_size))
     [ (stack_image, "kernel_main", "stack");
-      (store_image (), "storefn", "image-data") ]
+      (store_image (), "storefn", "image-data") ];
+  (* the seed kernel: its clean ranges and words, counted exactly *)
+  let r =
+    Absint.analyze (Cfg.build (Lazy.force seed_built).Tk_kernel.Image.image)
+  in
+  checki "seed image: clean ranges" 183 (List.length r.Absint.a_clean_ranges);
+  checki "seed image: clean words" 4895 (Absint.clean_words r)
 
 (* the SMC store convicts only its own word: the ranges remain clean
    around it (word granularity, not function granularity) *)

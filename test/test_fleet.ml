@@ -10,7 +10,13 @@
    per-instance RNG streams really do isolate instances from each
    other. Arithmetic backs it: per-instance energy is integered before
    summation and sketch buckets are commutative counters, so no
-   float-summation-order can leak the schedule into the digest. *)
+   float-summation-order can leak the schedule into the digest.
+
+   The digest of CI's fleet smoke config is also pinned as a golden, so
+   a change to the simulated population is caught, not just a change
+   that depends on the schedule. Run the binary with TK_CAPTURE=1 to
+   print a fresh golden; recapture only when the simulated model
+   intentionally changes. *)
 
 module Fleet = Tk_fleet.Fleet
 module Arrival = Tk_fleet.Arrival
@@ -125,6 +131,23 @@ let test_span_telemetry () =
     [ "span_run_ns"; "span_resume_ns"; "span_suspend_ns";
       "span_irq_deliver_ns" ]
 
+(* CI's "Fleet determinism smoke" config:
+   arksim fleet --devices 12 --arrival bursty --duration-ms 10 --seed 1 *)
+let smoke_config =
+  { Fleet.default_config with
+    Fleet.devices = 12;
+    arrival = Arrival.Bursty;
+    duration_ms = 10;
+    seed = 1 }
+
+let golden_smoke_digest = "02bbfb1e477c44c9"
+
+let test_golden_digest () =
+  let t = Fleet.run smoke_config in
+  Alcotest.(check bool) "clean run" false (Fleet.failed t);
+  Alcotest.(check string) "smoke-config digest" golden_smoke_digest
+    t.Fleet.digest
+
 let test_chaos_error_propagation () =
   (* a shard that dies must surface as (index, message) without taking
      the fleet down; healthy shards still complete *)
@@ -144,6 +167,11 @@ let test_chaos_error_propagation () =
     (Fleet.counter t "fleet.instances")
 
 let () =
+  if Sys.getenv_opt "TK_CAPTURE" <> None then begin
+    Printf.printf "let golden_smoke_digest = %S\n"
+      (Fleet.run smoke_config).Fleet.digest;
+    exit 0
+  end;
   Alcotest.run "fleet"
     [ ( "determinism",
         [ Alcotest.test_case "poisson: jobs=1 = jobs=8" `Quick
@@ -157,7 +185,9 @@ let () =
           Alcotest.test_case "arrival kinds produce distinct work" `Quick
             test_arrival_kinds_distinct;
           Alcotest.test_case "seed moves the digest" `Quick
-            test_seed_sensitivity ] );
+            test_seed_sensitivity;
+          Alcotest.test_case "smoke-config digest is pinned" `Quick
+            test_golden_digest ] );
       ( "fleet",
         [ Alcotest.test_case "population fully accounted" `Quick
             test_population_accounting;
