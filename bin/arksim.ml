@@ -92,12 +92,10 @@ let phase_name devices code =
   end
   else string_of_int code
 
-(* enable the flight recorder if any tracing option was given; returns
-   whether it is on. Called after boot so the trace covers only the
-   benchmark cycles. *)
-let trace_setup tr ~trace_file ~trace_filter ~trace_cap =
-  if trace_file = None && trace_filter = None && trace_cap = None then false
-  else begin
+(* enable the flight recorder if any tracing option was given. Called
+   after boot so the trace covers only the benchmark cycles. *)
+let trace_setup (soc : Soc.t) ~trace_file ~trace_filter ~trace_cap =
+  if trace_file <> None || trace_filter <> None || trace_cap <> None then begin
     let filter =
       match trace_filter with
       | None -> None
@@ -108,20 +106,22 @@ let trace_setup tr ~trace_file ~trace_filter ~trace_cap =
           Printf.eprintf "unknown trace event kind: %s\n" n;
           exit 2)
     in
-    Trace.enable ?cap:trace_cap ?filter tr;
-    true
+    Trace.enable ?cap:trace_cap ?filter soc.Soc.trace
   end
 
-let trace_finish tr ~trace_file ~devices =
-  (match trace_file with
-  | Some f ->
-    let oc = open_out f in
-    Trace.dump_jsonl oc tr;
-    close_out oc;
-    Printf.printf "trace: %d events (of %d recorded) -> %s\n"
-      (Trace.retained tr) tr.Trace.total f
-  | None -> ());
-  Trace.summary ~phase_name:(phase_name devices) tr
+let trace_finish (soc : Soc.t) ~trace_file ~devices =
+  let tr = soc.Soc.trace in
+  if tr.Trace.enabled then begin
+    (match trace_file with
+    | Some f ->
+      let oc = open_out f in
+      Trace.dump_jsonl oc tr;
+      close_out oc;
+      Printf.printf "trace: %d events (of %d recorded) -> %s\n"
+        (Trace.retained tr) tr.Trace.total f
+    | None -> ());
+    Trace.summary ~phase_name:(phase_name devices) tr
+  end
 
 (* causal span tracer: on when either export was requested. Enabled
    after boot, like the flight recorder, so the causal trees cover only
@@ -132,7 +132,7 @@ let spans_setup (soc : Soc.t) ~spans_file ~perfetto_file =
 
 let spans_finish (soc : Soc.t) ~spans_file ~perfetto_file =
   let sp = soc.Soc.spans in
-  if sp.Tk_stats.Span.enabled then begin
+  if Tk_stats.Span.enabled sp then begin
     (match spans_file with
     | Some f ->
       let oc = open_out f in
@@ -378,8 +378,7 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
   | `Native ->
     let nat = Native_run.create ~layout ~sleep_ms () in
     let soc = nat.Native_run.plat.Tk_drivers.Platform.soc in
-    let tr = Native_run.trace nat in
-    let tracing = trace_setup tr ~trace_file ~trace_filter ~trace_cap in
+    trace_setup soc ~trace_file ~trace_filter ~trace_cap;
     telemetry_setup soc ~ts_file ~manifest_file ~sample_every;
     spans_setup soc ~spans_file ~perfetto_file;
     let wall0 = Unix.gettimeofday () in
@@ -390,8 +389,7 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
     let wall_s = Unix.gettimeofday () -. wall0 in
     summarize "native" soc.Soc.cpu Soc.a9_params
       (List.length nat.Native_run.warns);
-    if tracing then
-      trace_finish tr ~trace_file ~devices:nat.Native_run.devices;
+    trace_finish soc ~trace_file ~devices:nat.Native_run.devices;
     spans_finish soc ~spans_file ~perfetto_file;
     if telemetry then
       telemetry_finish soc ~active:"a9" ~params:Soc.a9_params
@@ -404,8 +402,7 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
         ?m3_cache_kb:m3_cache ()
     in
     let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
-    let tr = Ark_run.trace ark in
-    let tracing = trace_setup tr ~trace_file ~trace_filter ~trace_cap in
+    trace_setup soc ~trace_file ~trace_filter ~trace_cap;
     telemetry_setup soc ~ts_file ~manifest_file ~sample_every;
     spans_setup soc ~spans_file ~perfetto_file;
     let e = ark.Ark_run.ark.Transkernel.Ark.engine in
@@ -461,9 +458,7 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
           e.Tk_dbt.Engine.certify_rejects
     end;
     if cache_dir <> None then Ark_run.save_cache ark;
-    if tracing then
-      trace_finish tr ~trace_file
-        ~devices:ark.Ark_run.nat.Native_run.devices;
+    trace_finish soc ~trace_file ~devices:ark.Ark_run.nat.Native_run.devices;
     spans_finish soc ~spans_file ~perfetto_file;
     if profile then print_profile e;
     let variant =

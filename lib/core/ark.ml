@@ -585,7 +585,7 @@ let phase_begin t (which : [ `Suspend | `Resume ]) =
      Ready so work queued on the CPU before handoff gets drained (§4.3) *)
   t.fell_back <- None;
   t.paused <- None;
-  t.engine.Engine.span_cut <- -1;
+  Tk_stats.Probe.run_uncut t.soc.Soc.probe ~core:Tk_stats.Trace.core_m3;
   List.iter
     (fun (c : Context.t) ->
       c.Context.started <- false;

@@ -18,6 +18,7 @@
 open Tk_isa
 open Tk_isa.Types
 open Tk_machine
+module Trace = Tk_stats.Trace
 
 type callbacks = {
   mutable on_emu : string -> Exec.cpu -> unit;
@@ -49,7 +50,7 @@ let undecoded : inst = { cond = AL; op = Udf (-1) }
 type t = {
   soc : Soc.t;
   mode : Translator.mode;
-  tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
+  tr : Trace.t;  (** the platform flight recorder, cached *)
   mutable classify_target : int -> Translator.target_class;
   cb : callbacks;
   (* code cache *)
@@ -155,11 +156,6 @@ type t = {
           absolute time. [max_int] (default) = run to completion. The
           scheduler clears it around nested context runs (IRQ delivery,
           fallback draining), which must finish indivisibly. *)
-  mutable span_cut : int;
-      (** slot of an execution-burst span cut by {!Quantum} ([-1] =
-          none); the next {!run} reopens that exact frame instead of
-          opening a fresh one, so span telemetry — counts and durations
-          both — is identical at every quantum, slicing included *)
 }
 
 (* cost knobs, in M3 cycles *)
@@ -218,8 +214,7 @@ let rec create ~(soc : Soc.t) ~mode () =
       pending_flush = false; store = None;
       traces_formed = 0; fusions_applied = 0; cache_warm_hits = 0;
       invalidations = 0; flushes = 0;
-      sb_certify = None; certify_rejects = 0; deadline_ns = max_int;
-      span_cut = -1 }
+      sb_certify = None; certify_rejects = 0; deadline_ns = max_int }
   in
   let m3 = soc.Soc.m3 in
   let mem = soc.Soc.mem in
@@ -234,17 +229,16 @@ let rec create ~(soc : Soc.t) ~mode () =
     else if Mem.in_ram mem addr then begin
       let stall = Cache.access m3.Core.cache ~write:false addr in
       Core.charge_stall m3 stall;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Trace.ev_read addr stall;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_m3 Trace.ev_read addr stall;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_m3
+          Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
       Mem.read mem addr nbytes
     end
   in
@@ -256,9 +250,8 @@ let rec create ~(soc : Soc.t) ~mode () =
     else if Mem.in_ram mem addr then begin
       let stall = Cache.access m3.Core.cache ~write:true addr in
       Core.charge_stall m3 stall;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Trace.ev_write addr stall;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_m3 Trace.ev_write addr stall;
       if nbytes = 4 then Mem.ram_write32 mem addr v
       else Mem.ram_write mem addr nbytes v;
       (* superblock store-invalidation probe: host-only (no simulated
@@ -275,9 +268,9 @@ let rec create ~(soc : Soc.t) ~mode () =
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_m3
+          Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
       Mem.write mem addr nbytes v
     end
   in
@@ -321,9 +314,8 @@ and sb_check_word t w =
   then begin
     t.pending_flush <- true;
     t.invalidations <- t.invalidations + 1;
-    if t.tr.Tk_stats.Trace.enabled then
-      Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_invalidate w 0
+    if t.tr.Trace.enabled then
+      Trace.emit t.tr ~core:Trace.core_m3 Trace.ev_invalidate w 0
   end
 
 and sb_store_check t addr nbytes =
@@ -408,36 +400,27 @@ and translate_block t gpc =
         | None -> ());
         b
     in
-    (* span: the translation burst covers the simulated translation
-       charge; back-to-back misses coalesce into one burst span *)
-    let sp = t.soc.Soc.spans in
-    let stok =
-      if sp.Tk_stats.Span.enabled then
-        Tk_stats.Span.enter_coalesced sp ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Span.sk_dbt_translate b.Translator.b_guest_count
-      else 0
-    in
+    (* the translation burst covers the simulated translation charge;
+       back-to-back misses coalesce into one burst span *)
+    let guest = b.Translator.b_guest_count in
+    let tok = Tk_stats.Probe.translate_begin t.soc.Soc.probe ~guest in
     t.translate_cycles <-
-      t.translate_cycles + (cost_translate_per_guest * b.Translator.b_guest_count);
-    charge t (cost_translate_per_guest * b.Translator.b_guest_count);
+      t.translate_cycles + (cost_translate_per_guest * guest);
+    charge t (cost_translate_per_guest * guest);
     let h = emit_block t b in
     Hashtbl.replace t.block_map gpc h;
     Hashtbl.replace t.block_starts h gpc;
     t.block_start.((h - Soc.code_cache_base) asr 2) <- true;
     Hashtbl.replace t.host_points h gpc;
     t.blocks <- t.blocks + 1;
-    t.guest_translated <- t.guest_translated + b.Translator.b_guest_count;
-    Hashtbl.replace t.block_size h
-      (b.Translator.b_guest_count, (t.cursor - h) asr 2);
+    t.guest_translated <- t.guest_translated + guest;
+    Hashtbl.replace t.block_size h (guest, (t.cursor - h) asr 2);
     if t.superblock then begin
-      sb_mark_cover t gpc b.Translator.b_guest_count;
+      sb_mark_cover t gpc guest;
       sb_record_succ t b;
       sb_mark_fusions t h t.cursor
     end;
-    if t.tr.Tk_stats.Trace.enabled then
-      Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_translate gpc b.Translator.b_guest_count;
-    if sp.Tk_stats.Span.enabled then Tk_stats.Span.leave sp stok;
+    Tk_stats.Probe.translate_end t.soc.Soc.probe tok ~gpc ~guest;
     h
 
 (* --------------------- superblock bookkeeping ----------------------- *)
@@ -593,20 +576,14 @@ and sb_try_form t head =
     | exception Superblock.Abort _ -> ()
     | p ->
       (* forming re-derives every constituent's translation *)
-      let sp = t.soc.Soc.spans in
-      let stok =
-        if sp.Tk_stats.Span.enabled then
-          Tk_stats.Span.enter_coalesced sp ~core:Tk_stats.Trace.core_m3
-            Tk_stats.Span.sk_dbt_form p.Superblock.p_guest_count
-        else 0
-      in
+      let guest = p.Superblock.p_guest_count in
+      let tok = Tk_stats.Probe.form_begin t.soc.Soc.probe ~guest in
       t.translate_cycles <-
-        t.translate_cycles
-        + (cost_translate_per_guest * p.Superblock.p_guest_count);
-      charge t (cost_translate_per_guest * p.Superblock.p_guest_count);
+        t.translate_cycles + (cost_translate_per_guest * guest);
+      charge t (cost_translate_per_guest * guest);
       let b =
         { Translator.b_guest_start = head;
-          b_guest_count = p.Superblock.p_guest_count;
+          b_guest_count = guest;
           b_emits = p.Superblock.p_emits }
       in
       let old_h = Hashtbl.find t.block_map head in
@@ -615,18 +592,14 @@ and sb_try_form t head =
       Hashtbl.replace t.block_starts h head;
       t.block_start.((h - Soc.code_cache_base) asr 2) <- true;
       Hashtbl.replace t.host_points h head;
-      Hashtbl.replace t.block_size h
-        (p.Superblock.p_guest_count, (t.cursor - h) asr 2);
+      Hashtbl.replace t.block_size h (guest, (t.cursor - h) asr 2);
       t.traces_formed <- t.traces_formed + 1;
       sb_mark_fusions t h t.cursor;
       (* redirect the old head into the trace: its first word becomes a
          branch, so chained predecessors and saved resume points all
          land in the trace from now on *)
       patch t old_h (at (B (h - old_h)));
-      if t.tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Trace.ev_form head p.Superblock.p_guest_count;
-      if sp.Tk_stats.Span.enabled then Tk_stats.Span.leave sp stok
+      Tk_stats.Probe.form_end t.soc.Soc.probe tok ~head ~guest
   end
 
 (* Block-boundary work, out of line so the run loop body stays
@@ -667,9 +640,8 @@ and patch t site_addr (i : inst) =
   Hashtbl.remove t.sites site_addr;
   t.patches <- t.patches + 1;
   charge t cost_patch;
-  if t.tr.Tk_stats.Trace.enabled then
-    Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-      Tk_stats.Trace.ev_chain site_addr 0
+  if t.tr.Trace.enabled then
+    Trace.emit t.tr ~core:Trace.core_m3 Trace.ev_chain site_addr 0
 
 and set_pc t (cpu : Exec.cpu) v =
   cpu.Exec.r.(pc) <- v;
@@ -829,7 +801,7 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
   let tr = t.tr in
   (* tracing and sampling never toggle while translated code is
      executing, so both decisions are hoisted into immutable bools *)
-  let traced = tr.Tk_stats.Trace.enabled in
+  let traced = tr.Trace.enabled in
   let env = t.env in
   let ts = t.soc.Soc.sampler in
   let sampling = ts.Tk_stats.Timeseries.enabled in
@@ -918,8 +890,7 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
     clock.Clock.now <- clock.Clock.now + q;
     if clock.Clock.next_at <= clock.Clock.now then Clock.run_due clock;
     if traced then
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_retire pcv 0;
+      Trace.emit tr ~core:Trace.core_m3 Trace.ev_retire pcv 0;
     match Exec.step cpu env ~addr:pcv i with
     | Exec.Next ->
       if t.pc_overridden then probe := true
@@ -951,8 +922,7 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
         in
         Core.charge_stall m3 stall2;
         if traced then
-          Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-            Tk_stats.Trace.ev_retire pcv2 0;
+          Trace.emit tr ~core:Trace.core_m3 Trace.ev_retire pcv2 0;
         match Exec.step cpu env ~addr:pcv2 i2 with
         | Exec.Next ->
           if t.pc_overridden then probe := true
@@ -981,31 +951,20 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
     that is always a valid resume point. *)
 let run t cpu ~fuel =
   (* one execution-burst span per engine entry; the loop only exits by
-     exception (Context_exit, fallback, host error), so the close rides
-     in [~finally]. A burst cut by {!Quantum} reopens coalesced on
-     resume (zero simulated time passes across the cut, and nothing
-     else records in between), so the span stream is the sequential
-     one at every quantum. *)
-  let sp = t.soc.Soc.spans in
-  if sp.Tk_stats.Span.enabled then begin
-    let cut = t.span_cut in
-    t.span_cut <- -1;
-    let tok =
-      if cut >= 0 then
-        Tk_stats.Span.reopen sp ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Span.sk_run ~slot:cut 0
-      else
-        Tk_stats.Span.enter sp ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Span.sk_run 0
-    in
-    Fun.protect
-      ~finally:(fun () -> Tk_stats.Span.leave sp tok)
-      (fun () ->
-        try run_loop t cpu ~fuel with Quantum ->
-          t.span_cut <- Tk_stats.Span.slot_of sp tok;
-          raise Quantum)
-  end
-  else run_loop t cpu ~fuel
+     exception (Context_exit, fallback, host error). A burst cut by
+     {!Quantum} reopens on resume (zero simulated time passes across
+     the cut, and nothing else records in between), so the span stream
+     is the sequential one at every quantum. *)
+  let p = t.soc.Soc.probe and core = Trace.core_m3 in
+  let tok = Tk_stats.Probe.run_begin p ~core in
+  match run_loop t cpu ~fuel with
+  | () -> Tk_stats.Probe.run_end p tok
+  | exception Quantum ->
+    Tk_stats.Probe.run_cut p ~core tok;
+    raise Quantum
+  | exception e ->
+    Tk_stats.Probe.run_end p tok;
+    raise e
 
 (** [entry_host t gpc] — host address for guest entry [gpc], translating
     on demand (used by ARK to start contexts). *)

@@ -136,11 +136,6 @@ type t = {
           absolute time. [max_int] (default) = run to completion. The
           scheduler clears it around nested context runs (IRQ delivery,
           fallback draining), which must finish indivisibly. *)
-  mutable span_cut : int;
-      (** slot of an execution-burst span cut by {!Quantum} ([-1] =
-          none); the next {!run} reopens that exact frame instead of
-          opening a fresh one, so span telemetry — counts and durations
-          both — is identical at every quantum, slicing included *)
 }
 
 val cost_taken_branch : int

@@ -43,6 +43,17 @@ type t = {
 
 let plat t = t.nat.Native_run.plat
 
+(* [record ?clock t code] — a phase mark at [clock]'s time (default:
+   the platform clock): the runner's event list, then the probe *)
+let record ?clock t code =
+  let soc = (plat t).soc in
+  let clock = Option.value clock ~default:soc.Soc.clock in
+  t.events <-
+    { ev_code = code; ev_time_ns = clock.Clock.now;
+      ev_m3 = Core.activity soc.Soc.m3 }
+    :: t.events;
+  Tk_stats.Probe.phase soc.Soc.probe code
+
 (* ------------------------ manifest (handoff) ------------------------ *)
 
 let build_manifest (plat : Platform.t) : Manifest.t =
@@ -106,17 +117,10 @@ let create ?layout ?built ?devices ?(mode = Translator.Ark)
   ark.Ark.on_hypercall <-
     (fun n cpu ->
       if n = Hyper.phase_mark then begin
-        let code = Tk_dbt.Engine.guest_reg ark.Ark.engine cpu 0 in
         (* M3-side marks read the M3's own clock: the platform clock,
            or its private lane inside a lockstep concurrent segment *)
-        t.events <-
-          { ev_code = code;
-            ev_time_ns = plat.soc.Soc.m3.Core.clock.Clock.now;
-            ev_m3 = Core.activity plat.soc.Soc.m3 }
-          :: t.events;
-        Tk_stats.Trace.phase plat.soc.Soc.trace code;
-        Tk_stats.Timeseries.phase plat.soc.Soc.sampler code;
-        Tk_stats.Span.phase plat.soc.Soc.spans code
+        record t ~clock:plat.soc.Soc.m3.Core.clock
+          (Tk_dbt.Engine.guest_reg ark.Ark.engine cpu 0)
       end
       else if n = Hyper.warn_hit then
         t.nat.Native_run.warns <-
@@ -173,19 +177,6 @@ let offload_phase t which : Ark.outcome =
         go ();
         Ark.phase_finish ark)
   end
-
-let record t code =
-  t.events <-
-    { ev_code = code; ev_time_ns = (plat t).soc.Soc.clock.Clock.now;
-      ev_m3 = Core.activity (plat t).soc.Soc.m3 }
-    :: t.events;
-  Tk_stats.Trace.phase (plat t).soc.Soc.trace code;
-  Tk_stats.Timeseries.phase (plat t).soc.Soc.sampler code;
-  Tk_stats.Span.phase (plat t).soc.Soc.spans code
-
-(** [trace t] — the platform's flight recorder (enable/dump through
-    {!Tk_stats.Trace}). *)
-let trace t = (plat t).soc.Soc.trace
 
 (** [suspend_resume_cycle t] runs one full ephemeral-task cycle with the
     device phases offloaded: native freeze -> handoff -> ARK dpm_suspend

@@ -89,7 +89,3 @@ val concurrent_cycle :
 val events_of_cycle : t -> before:int -> phase_event list
 (** the phase events recorded since [before] (a prior length of
     [t.events]), oldest first *)
-
-val trace : t -> Tk_stats.Trace.t
-(** the platform's flight recorder; phase markers from both the runner
-    and offloaded guest code are mirrored into it as [ev_phase] marks *)

@@ -71,6 +71,3 @@ val device_states : t -> (string * int) list
 val read_sym : t -> string -> int
 (** read a word-sized guest kernel variable by symbol name *)
 
-val trace : t -> Tk_stats.Trace.t
-(** the platform's flight recorder; phase-marker hypercalls are mirrored
-    into it as [ev_phase] marks (enable/dump through {!Tk_stats.Trace}) *)

@@ -23,6 +23,9 @@ type json =
   | Obj of (string * json) list
   | Arr of json list
 
+(** A counter list as one flat object of integer leaves. *)
+let counters_obj kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs)
+
 (* every interpolated string goes through the shared escaper so the
    document stays valid JSON whatever the model data contains *)
 let esc = Tk_stats.Json.escape

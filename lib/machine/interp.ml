@@ -20,6 +20,7 @@
     console), dispatched to the embedding runner through [on_svc]. *)
 
 open Tk_isa
+module Trace = Tk_stats.Trace
 
 exception Halt of string  (** raised by hypercalls to end a run *)
 
@@ -34,7 +35,7 @@ let dense_words = (dense_top - dense_base) / 4
 type t = {
   soc : Soc.t;
   core : Core.t;
-  tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
+  tr : Trace.t;  (** the platform flight recorder, cached *)
   cpu : Exec.cpu;
   decode : Types.inst option array;  (** dense, indexed by image word *)
   decode_cache : (int, Types.inst) Hashtbl.t;  (** out-of-span fallback *)
@@ -70,17 +71,16 @@ let create ~(soc : Soc.t) () =
     if Mem.in_ram mem addr then begin
       let stall = Cache.access core.cache ~write:false addr in
       Core.charge_stall core stall;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_read addr stall;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_cpu Trace.ev_read addr stall;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
     else begin
       Core.charge core core.p.mmio_penalty;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_read addr core.p.mmio_penalty;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_cpu
+          Trace.ev_read addr core.p.mmio_penalty;
       Mem.read mem addr nbytes
     end
   in
@@ -92,16 +92,13 @@ let create ~(soc : Soc.t) () =
   let invalidate_word w =
     if in_dense w then begin
       let idx = (w - dense_base) asr 2 in
-      if tr.Tk_stats.Trace.enabled && Array.unsafe_get t.decode idx <> None
-      then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_invalidate w 0;
+      if tr.Trace.enabled && Array.unsafe_get t.decode idx <> None then
+        Trace.emit tr ~core:Trace.core_cpu Trace.ev_invalidate w 0;
       Array.unsafe_set t.decode idx None
     end
     else begin
-      if tr.Tk_stats.Trace.enabled && Hashtbl.mem t.decode_cache w then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_invalidate w 0;
+      if tr.Trace.enabled && Hashtbl.mem t.decode_cache w then
+        Trace.emit tr ~core:Trace.core_cpu Trace.ev_invalidate w 0;
       Hashtbl.remove t.decode_cache w
     end
   in
@@ -109,9 +106,8 @@ let create ~(soc : Soc.t) () =
     if Mem.in_ram mem addr then begin
       let stall = Cache.access core.cache ~write:true addr in
       Core.charge_stall core stall;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_write addr stall;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_cpu Trace.ev_write addr stall;
       let w0 = addr land lnot 3 in
       invalidate_word w0;
       let w1 = (addr + nbytes - 1) land lnot 3 in
@@ -121,9 +117,9 @@ let create ~(soc : Soc.t) () =
     end
     else begin
       Core.charge core core.p.mmio_penalty;
-      if tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_write addr core.p.mmio_penalty;
+      if tr.Trace.enabled then
+        Trace.emit tr ~core:Trace.core_cpu
+          Trace.ev_write addr core.p.mmio_penalty;
       Mem.write mem addr nbytes v
     end
   in
@@ -193,8 +189,7 @@ let step_one t traced =
   let i = fetch_decode t addr in
   Core.retire t.core addr;
   if traced then
-    Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_cpu
-      Tk_stats.Trace.ev_retire addr 0;
+    Trace.emit t.tr ~core:Trace.core_cpu Trace.ev_retire addr 0;
   match Exec.step cpu t.env ~addr i with
   | Exec.Next -> Array.unsafe_set cpu.Exec.r Types.pc (addr + 4)
   | Exec.Branched -> ()
@@ -202,7 +197,7 @@ let step_one t traced =
 (** [step t] executes one instruction (delivering a pending enabled IRQ
     first). *)
 let step t =
-  step_one t t.tr.Tk_stats.Trace.enabled;
+  step_one t t.tr.Trace.enabled;
   let ts = t.soc.Soc.sampler in
   if ts.Tk_stats.Timeseries.enabled then Tk_stats.Timeseries.tick ts
 
@@ -213,7 +208,7 @@ let step t =
     still propagates when the guest finishes inside the slice. *)
 let run_until t ~deadline ~fuel =
   let n = ref 0 in
-  let traced = t.tr.Tk_stats.Trace.enabled in
+  let traced = t.tr.Trace.enabled in
   (* telemetry sampler: same hoisting discipline as tracing — when
      sampling is off the loop only tests an immutable bool *)
   let ts = t.soc.Soc.sampler in
@@ -231,16 +226,11 @@ let run_until t ~deadline ~fuel =
     instructions elapse, which raises {!Fault} — a runaway guest). *)
 let run t ~fuel =
   (* one execution-burst span per call; the unbounded slice only ever
-     exits by exception (Halt / Fault), so the close rides in
-     [~finally] *)
-  let sp = t.soc.Soc.spans in
-  if sp.Tk_stats.Span.enabled then begin
-    let tok =
-      Tk_stats.Span.enter sp ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Span.sk_run 0
-    in
-    Fun.protect
-      ~finally:(fun () -> Tk_stats.Span.leave sp tok)
-      (fun () -> run_until t ~deadline:max_int ~fuel)
-  end
-  else run_until t ~deadline:max_int ~fuel
+     exits by exception (Halt / Fault) *)
+  let p = t.soc.Soc.probe in
+  let tok = Tk_stats.Probe.run_begin p ~core:Trace.core_cpu in
+  match run_until t ~deadline:max_int ~fuel with
+  | () -> Tk_stats.Probe.run_end p tok
+  | exception e ->
+    Tk_stats.Probe.run_end p tok;
+    raise e

@@ -56,8 +56,9 @@ let nlines = 102
 let irq_ipi_cpu = 1
 let irq_cpu_timer = 37
 let irq_m3_timer = 38
-(* device i uses line irq_dev_first + i *)
+(* device i uses line irq_dev_first + i, for i < dev_slots *)
 let irq_dev_first = 40
+let dev_slots = 30
 
 (* ------------------------- core parameters -------------------------- *)
 
@@ -89,18 +90,14 @@ type t = {
   m3 : Core.t;
   cpu_timer : Timer.t;
   m3_timer : Timer.t;
-  trace : Tk_stats.Trace.t;
-      (** the platform's flight recorder (disabled by default); every
-          component of this SoC emits into it *)
+  probe : Tk_stats.Probe.t;
+      (** the platform's instrumentation handle: every layer boundary
+          of this SoC is observed through it *)
+  trace : Tk_stats.Trace.t;  (** the probe's flight recorder *)
   sampler : Tk_stats.Timeseries.t;
-      (** the cycle-domain telemetry sampler (disabled by default);
-          gauges over every counter of this SoC are wired here, and the
-          run loops tick it on the sampling period *)
-  spans : Tk_stats.Span.t;
-      (** the causal span tracer (disabled by default); the harness
-          marks phase frames into it and the interrupt controllers,
-          devices and DBT engine record latency/burst spans, each
-          snapshotting the attribution gauges wired here *)
+      (** the probe's sampler; gauges over every counter of this SoC
+          are wired here *)
+  spans : Tk_stats.Span.t;  (** the probe's span tracer *)
 }
 
 (** [create ?m3_cache_kb ()] builds a fresh platform. [m3_cache_kb]
@@ -112,7 +109,7 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
   (* Route device lines and the M3 timer to the NVIC; leave the rest
      (GPIO banks etc.) CPU-only, mirroring OMAP4460's 39/102. *)
   let routed =
-    irq_m3_timer :: List.init 30 (fun i -> irq_dev_first + i)
+    irq_m3_timer :: List.init dev_slots (fun i -> irq_dev_first + i)
   in
   let fabric = Intc.make_fabric ~nlines ~routed in
   let cpu =
@@ -132,26 +129,21 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
   Mem.add_region mem (Intc.mmio_region fabric.gic ~base:gic_base);
   Mem.add_region mem (Timer.mmio_region cpu_timer ~base:cpu_timer_base);
   Mem.add_region mem (Timer.mmio_region m3_timer ~base:m3_timer_base);
-  (* flight recorder: one per platform, time-sourced from the shared
-     clock, with per-core busy/traffic gauges sampled at phase marks *)
-  let trace = Tk_stats.Trace.create () in
-  trace.Tk_stats.Trace.now <- (fun () -> clock.Clock.now);
-  trace.Tk_stats.Trace.probes <-
-    [ ("a9_busy_cy", fun () -> cpu.Core.busy_cycles);
-      ("a9_instrs", fun () -> cpu.Core.instructions);
-      ("a9_miss", fun () -> cpu.Core.cache.Cache.misses);
-      ("m3_busy_cy", fun () -> m3.Core.busy_cycles);
-      ("m3_instrs", fun () -> m3.Core.instructions);
-      ("m3_miss", fun () -> m3.Core.cache.Cache.misses) ];
-  fabric.Intc.gic.Intc.tr <- trace;
-  fabric.Intc.gic.Intc.tr_core <- Tk_stats.Trace.core_cpu;
-  fabric.Intc.nvic.Intc.tr <- trace;
-  fabric.Intc.nvic.Intc.tr_core <- Tk_stats.Trace.core_m3;
-  (* cycle-domain sampler: shares the clock with the recorder; one gauge
-     per platform counter (core time/work, cache traffic, DMA). Higher
-     layers (DBT engine, device drivers) wire their own gauges on top. *)
-  let sampler = Tk_stats.Timeseries.create () in
-  sampler.Tk_stats.Timeseries.now <- (fun () -> clock.Clock.now);
+  (* instrumentation: one probe per platform, time-sourced from the
+     shared clock, fanning each layer boundary out to the recorders *)
+  let probe =
+    Tk_stats.Probe.create ~now:(fun () -> clock.Clock.now)
+      ~devices:dev_slots
+  in
+  let { Tk_stats.Probe.trace; sampler; spans; _ } = probe in
+  fabric.Intc.gic.Intc.probe <-
+    Tk_stats.Probe.irq probe ~core:Tk_stats.Trace.core_cpu ~nlines;
+  fabric.Intc.nvic.Intc.probe <-
+    Tk_stats.Probe.irq probe ~core:Tk_stats.Trace.core_m3
+      ~nlines:fabric.Intc.nvic.Intc.nlines;
+  (* cycle-domain sampler: one gauge per platform counter (core
+     time/work, cache traffic, DMA). Higher layers (DBT engine, device
+     drivers) wire their own gauges on top. *)
   let gauge = Tk_stats.Timeseries.add_gauge sampler in
   let core_gauges prefix (c : Core.t) =
     gauge (prefix ^ "_busy_ps") (fun () -> c.Core.busy_ps);
@@ -167,13 +159,17 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
   core_gauges "m3" m3;
   gauge "dma_rd_bytes" (fun () -> mem.Mem.dma_read_bytes);
   gauge "dma_wr_bytes" (fun () -> mem.Mem.dma_write_bytes);
-  (* causal span tracer: same clock; attribution gauges are monotone
-     counters so sibling span deltas telescope into their parent's
-     (Span.reconcile audits the 0.1% bar). Energy is integrated in
-     integer nJ from the same busy/idle-ps figures the power model
-     uses — truncation of a nondecreasing float keeps it monotone. *)
-  let spans = Tk_stats.Span.create () in
-  spans.Tk_stats.Span.now <- (fun () -> clock.Clock.now);
+  (* the flight recorder's phase-mark columns are sampler gauges *)
+  trace.Tk_stats.Trace.probes <-
+    List.map
+      (fun n -> (n, List.assoc n sampler.Tk_stats.Timeseries.gauges))
+      [ "a9_busy_cy"; "a9_instrs"; "a9_miss"; "m3_busy_cy"; "m3_instrs";
+        "m3_miss" ];
+  (* span attribution gauges are monotone counters so sibling span
+     deltas telescope into their parent's (Span.reconcile audits the
+     0.1% bar). Energy is integrated in integer nJ from the same
+     busy/idle-ps figures the power model uses — truncation of a
+     nondecreasing float keeps it monotone. *)
   let core_energy_nj (c : Core.t) =
     int_of_float
       (((float_of_int c.Core.busy_ps *. c.Core.p.Core.busy_mw)
@@ -186,10 +182,8 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
       cpu.Core.stall_cycles + m3.Core.stall_cycles);
   Tk_stats.Span.add_gauge spans "energy_nj" (fun () ->
       core_energy_nj cpu + core_energy_nj m3);
-  fabric.Intc.gic.Intc.sp <- spans;
-  fabric.Intc.nvic.Intc.sp <- spans;
   { clock; sched_clock = clock; mem; fabric; cpu; m3; cpu_timer; m3_timer;
-    trace; sampler; spans }
+    probe; trace; sampler; spans }
 
 (** [dev_base i] is the MMIO base address of device slot [i]. *)
 let dev_base i = dev_mmio_base + (i * dev_mmio_stride)

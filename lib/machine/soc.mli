@@ -76,18 +76,14 @@ type t = {
   m3 : Core.t;
   cpu_timer : Timer.t;
   m3_timer : Timer.t;
-  trace : Tk_stats.Trace.t;
-      (** the platform's flight recorder (disabled by default); every
-          component of this SoC emits into it *)
+  probe : Tk_stats.Probe.t;
+      (** the platform's instrumentation handle: every layer boundary
+          of this SoC is observed through it *)
+  trace : Tk_stats.Trace.t;  (** the probe's flight recorder *)
   sampler : Tk_stats.Timeseries.t;
-      (** the cycle-domain telemetry sampler (disabled by default);
-          gauges over every counter of this SoC are wired here, and the
-          run loops tick it on the sampling period *)
-  spans : Tk_stats.Span.t;
-      (** the causal span tracer (disabled by default); the harness
-          marks phase frames into it and the interrupt controllers,
-          devices and DBT engine record latency/burst spans, each
-          snapshotting the attribution gauges wired here *)
+      (** the probe's sampler; gauges over every counter of this SoC
+          are wired here *)
+  spans : Tk_stats.Span.t;  (** the probe's span tracer *)
 }
 
 (** [create ?m3_cache_kb ()] builds a fresh platform. [m3_cache_kb]

@@ -80,6 +80,17 @@ let diff before after =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(** [sum outs] adds the lists name by name, name-sorted. *)
+let sum outs =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun (k, v) ->
+         let cur = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+         Hashtbl.replace tbl k (cur + v)))
+    outs;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 (** [pp ppf t] prints all non-zero counters, one per line. *)
 let pp ppf (t : t) =
   snapshot t

@@ -47,5 +47,9 @@ val load : t -> (string * int) list -> unit
     names absent on one side count as 0 there. *)
 val diff : (string * int) list -> (string * int) list -> (string * int) list
 
+(** [sum outs] is the per-name sum over [outs] (absent names count as
+    0), name-sorted: per-task counters merged into one. *)
+val sum : (string * int) list list -> (string * int) list
+
 (** [pp ppf t] prints all non-zero counters, one per line. *)
 val pp : Format.formatter -> t -> unit

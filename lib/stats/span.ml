@@ -18,7 +18,7 @@
     computes the residuals; test/test_span.ml pins the bar.
 
     Cost discipline matches {!Trace}: recording is simulation-neutral,
-    every producer guards on the flat [enabled] bool, and the enabled
+    {!Probe} guards on the flat [enabled] bool, and the enabled
     path allocates nothing (pre-sized parallel arrays, no closures). *)
 
 (* ------------------------- span kinds -------------------------------- *)
@@ -85,9 +85,8 @@ let ph_dev_mark = 100
 
 type t = {
   mutable enabled : bool;
-  mutable now : unit -> int;
+  now : unit -> int;
   mutable gauges : (string * (unit -> int)) list;
-  mutable coalesce_gap_ns : int;
   mutable cap : int;
   (* baked at enable *)
   mutable gnames : string array;
@@ -110,18 +109,17 @@ type t = {
 }
 
 let default_cap = 1 lsl 16
+let coalesce_gap_ns = 500
 let max_depth = 64
 let max_dev_cells = 64
 
-let create () =
-  { enabled = false; now = (fun () -> 0); gauges = [];
-    coalesce_gap_ns = 500; cap = default_cap; gnames = [||]; gfns = [||];
+let create ~now () =
+  { enabled = false; now; gauges = [];
+    cap = default_cap; gnames = [||]; gfns = [||];
     q_kind = [||]; q_core = [||]; q_parent = [||]; q_t0 = [||]; q_t1 = [||];
     q_arg = [||]; q_a0 = [||]; q_a1 = [||]; n = 0; dropped = 0;
     stack = Array.make max_depth (-1); depth = 0;
     dev_t0 = Array.make max_dev_cells (-1) }
-
-let null = create ()
 
 let reset t =
   t.n <- 0;
@@ -152,6 +150,7 @@ let enable ?cap t =
   t.enabled <- true
 
 let disable t = t.enabled <- false
+let enabled t = t.enabled
 
 let add_gauge t name f =
   (if List.mem_assoc name t.gauges then
@@ -233,7 +232,7 @@ let enter_coalesced t ~core kind arg =
     && t.q_kind.(s) = kind
     && t.q_core.(s) = core
     && t.q_parent.(s) = (if tok > 0 then t.stack.(tok - 1) else -1)
-    && t.now () - t.q_t1.(s) <= t.coalesce_gap_ns
+    && t.now () - t.q_t1.(s) <= coalesce_gap_ns
   then begin
     t.q_t1.(s) <- -1;
     t.q_arg.(s) <- t.q_arg.(s) + arg;
@@ -313,10 +312,9 @@ let close_kind t kind =
     done
   end
 
-(** [phase t code] — the phase-mark dispatcher the harness feeds from
-    its [record] path: opens/closes the suspend, sleep, wakeup and
-    resume frame spans and turns per-device marks into async spans.
-    Callers guard on [t.enabled]. *)
+(** [phase t code] — the phase-mark dispatcher {!Probe.phase} feeds:
+    opens/closes the suspend, sleep, wakeup and resume frame spans and
+    turns per-device marks into async spans. No-op when disabled. *)
 let phase t code =
   if not t.enabled then ()
   else begin

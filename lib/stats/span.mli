@@ -14,7 +14,7 @@
     telescope exactly into the parent delta ({!reconcile} audits this
     against a 0.1% bar, mirroring the energy ledger).
 
-    Cost discipline: simulation-neutral, producers guard on [enabled],
+    Cost discipline: simulation-neutral, {!Probe} guards on [enabled],
     and the enabled path allocates nothing. *)
 
 (* ------------------------- span kinds -------------------------------- *)
@@ -53,39 +53,16 @@ val is_async : int -> bool
 
 (* --------------------------- recorder -------------------------------- *)
 
-type t = {
-  mutable enabled : bool;
-      (** the one flag every producer guards on *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
-  mutable gauges : (string * (unit -> int)) list;
-      (** monotone attribution gauges in wiring order *)
-  mutable coalesce_gap_ns : int;
-      (** bursts closer than this merge in {!enter_coalesced} *)
-  mutable cap : int;
-  mutable gnames : string array;
-  mutable gfns : (unit -> int) array;
-  mutable q_kind : int array;
-  mutable q_core : int array;
-  mutable q_parent : int array;  (** slot of the enclosing frame, -1 root *)
-  mutable q_t0 : int array;
-  mutable q_t1 : int array;  (** -1 while open *)
-  mutable q_arg : int array;
-  mutable q_a0 : int array;  (** gauge snapshots, slot * ngauges + g *)
-  mutable q_a1 : int array;
-  mutable n : int;
-  mutable dropped : int;
-  stack : int array;
-  mutable depth : int;
-  dev_t0 : int array;
-}
+type t
 
 val default_cap : int
-val create : unit -> t
 
-(** Shared always-disabled instance (the pre-wiring default, like
-    {!Trace.null}). Never enable it. *)
-val null : t
+(** [create ~now ()] — a disabled tracer on simulated-time source [now]
+    (ns). *)
+val create : now:(unit -> int) -> unit -> t
+
+(** The flag {!Probe} guards on. *)
+val enabled : t -> bool
 
 (** [add_gauge t name f] wires an attribution gauge, replacing in place
     on a name collision. Wiring while enabled restarts recording (the
@@ -107,7 +84,7 @@ val reset : t -> unit
 
 (** [enter t ~core kind arg] opens a frame span under the current top of
     stack; returns the depth token for {!leave}. Callers guard on
-    [t.enabled]. *)
+    {!enabled}. *)
 val enter : t -> core:int -> int -> int -> int
 
 (** [leave t tok] closes every frame opened since the matching {!enter}
@@ -116,7 +93,7 @@ val enter : t -> core:int -> int -> int -> int
 val leave : t -> int -> unit
 
 (** Like {!enter}, but merges with an immediately preceding sibling of
-    the same kind/core closed less than [coalesce_gap_ns] ago
+    the same kind/core closed at most 500 ns ago
     (accumulating [arg]): burst formation for DBT translate storms. *)
 val enter_coalesced : t -> core:int -> int -> int -> int
 
@@ -137,8 +114,8 @@ val reopen : t -> core:int -> int -> slot:int -> int -> int
     not nest on the frame stack. Carries no attribution delta. *)
 val emit_async : t -> core:int -> int -> t0:int -> int -> unit
 
-(** [phase t code] — phase-mark dispatcher fed by the harness [record]
-    path; opens/closes the suspend / sleep / wakeup / resume frames and
+(** [phase t code] — phase-mark dispatcher fed by {!Probe.phase};
+    opens/closes the suspend / sleep / wakeup / resume frames and
     converts per-device marks into async spans. The marker vocabulary
     mirrors [Tk_kernel.Hyper] (cross-checked in test/test_span.ml). *)
 val phase : t -> int -> unit

@@ -24,8 +24,7 @@ type t = {
       (** the one flag the hot loops hoist and branch on *)
   mutable period_ns : int;  (** virtual-time sampling period *)
   mutable next_due : int;  (** absolute virtual time of the next sample *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
+  now : unit -> int;  (** simulated time source (ns) *)
   mutable gauges : (string * (unit -> int)) list;
       (** named platform gauges in wiring order; {!add_gauge} replaces
           by name so re-created components (a second DBT engine on the
@@ -48,14 +47,10 @@ let ncols_builtin = 2
 let default_cap = 1 lsl 14
 let default_period_ns = 100_000 (* 100 us of virtual time *)
 
-let create () =
+let create ~now () =
   { enabled = false; period_ns = default_period_ns; next_due = max_int;
-    now = (fun () -> 0); gauges = []; cur_phase = 0; cap = 0;
+    now; gauges = []; cur_phase = 0; cap = 0;
     names = [||]; gfns = [||]; cols = [||]; head = 0; total = 0 }
-
-(** Shared always-disabled instance (the pre-wiring default, like
-    {!Trace.null}). Never enable it. *)
-let null = create ()
 
 (** [add_gauge t name f] wires gauge [name]. If a gauge of that name is
     already wired its closure is replaced in place (keeping column

@@ -17,8 +17,7 @@ type t = {
       (** the one flag the hot loops hoist and branch on *)
   mutable period_ns : int;  (** virtual-time sampling period *)
   mutable next_due : int;  (** absolute virtual time of the next sample *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
+  now : unit -> int;  (** simulated time source (ns) *)
   mutable gauges : (string * (unit -> int)) list;
       (** named platform gauges in wiring order *)
   mutable cur_phase : int;
@@ -34,11 +33,9 @@ type t = {
 val default_cap : int
 val default_period_ns : int
 
-val create : unit -> t
-
-(** Shared always-disabled instance (the pre-wiring default, like
-    {!Trace.null}). Never enable it. *)
-val null : t
+(** [create ~now ()] — a disabled sampler on simulated-time source
+    [now] (ns). *)
+val create : now:(unit -> int) -> unit -> t
 
 (** [add_gauge t name f] wires gauge [name]. Replaces in place if the
     name is already wired (keeping column order), else appends. Must

@@ -12,11 +12,12 @@
 
     Cost discipline: recording is {e simulation-neutral} (no simulated
     cycles are ever charged here) and near-free on the host when
-    disabled — every emission site guards on the flat [enabled] flag and
-    [emit] allocates nothing (events live in pre-sized int arrays; the
-    ring drops the oldest events when full, while per-kind counters keep
-    counting everything). test/test_neutrality.ml pins the neutrality;
-    test/test_trace.ml pins the event stream itself. *)
+    disabled — {!Probe} and the per-access sites guard on the flat
+    [enabled] flag and [emit] allocates nothing (events live in
+    pre-sized int arrays; the ring drops the oldest events when full,
+    while per-kind counters keep counting everything).
+    test/test_neutrality.ml pins the neutrality; test/test_trace.ml pins
+    the event stream itself. *)
 
 (* ------------------------- event kinds ------------------------------- *)
 
@@ -102,8 +103,7 @@ type t = {
   mutable enabled : bool;
       (** the one flag every hot emission site guards on *)
   mutable filter : int;  (** bitmask over kinds, checked inside {!emit} *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
+  now : unit -> int;  (** simulated time source (ns) *)
   mutable probes : (string * (unit -> int)) list;
       (** named platform gauges sampled at phase marks (busy cycles,
           cache misses, ...); wired by [Soc.create] *)
@@ -125,16 +125,11 @@ type t = {
 
 let default_cap = 1 lsl 18
 
-let create () =
-  { enabled = false; filter = all_kinds; now = (fun () -> 0); probes = [];
+let create ~now () =
+  { enabled = false; filter = all_kinds; now; probes = [];
     cap = 1; q_time = [| 0 |]; q_kind = [| 0 |]; q_a = [| 0 |];
     q_b = [| 0 |]; head = 0; total = 0; counts = Array.make nkinds 0;
     rd_miss = 0; wr_miss = 0; marks = [] }
-
-(** Shared always-disabled instance, the default wiring target for
-    components built before their platform hands them the real
-    recorder. Never enable it. *)
-let null = create ()
 
 (** [reset t] forgets all recorded events, counters and phase marks but
     keeps configuration (capacity, filter, wiring). *)

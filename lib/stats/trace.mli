@@ -9,9 +9,9 @@
 
     Cost discipline: recording is {e simulation-neutral} (no simulated
     cycles are ever charged here) and near-free on the host when
-    disabled — every emission site guards on the flat [enabled] flag and
-    [emit] allocates nothing. test/test_neutrality.ml pins the
-    neutrality; test/test_trace.ml pins the event stream itself. *)
+    disabled — {!Probe} and the per-access sites guard on the flat
+    [enabled] flag and [emit] allocates nothing. test/test_neutrality.ml
+    pins the neutrality; test/test_trace.ml pins the event stream. *)
 
 (* ------------------------- event kinds ------------------------------- *)
 
@@ -71,8 +71,7 @@ type t = {
   mutable enabled : bool;
       (** the one flag every hot emission site guards on *)
   mutable filter : int;  (** bitmask over kinds, checked inside {!emit} *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
+  now : unit -> int;  (** simulated time source (ns) *)
   mutable probes : (string * (unit -> int)) list;
       (** named platform gauges sampled at phase marks (busy cycles,
           cache misses, ...); wired by [Soc.create] *)
@@ -92,12 +91,9 @@ type t = {
           (counts @ rd_miss @ wr_miss @ probe values) *)
 }
 
-val create : unit -> t
-
-(** Shared always-disabled instance, the default wiring target for
-    components built before their platform hands them the real
-    recorder. Never enable it. *)
-val null : t
+(** [create ~now ()] — a disabled recorder on simulated-time source
+    [now] (ns). *)
+val create : now:(unit -> int) -> unit -> t
 
 (** [reset t] forgets all recorded events, counters and phase marks but
     keeps configuration (capacity, filter, wiring). *)

@@ -112,14 +112,14 @@ let test_superblock () =
 
 let run_native_traced () =
   let nat = Native_run.create () in
-  Tk_stats.Trace.enable (Native_run.trace nat);
-  ignore (Native_run.suspend_resume_cycle nat);
   let soc = nat.Native_run.plat.Tk_drivers.Platform.soc in
+  Tk_stats.Trace.enable soc.Soc.trace;
+  ignore (Native_run.suspend_resume_cycle nat);
   of_soc soc ~active:soc.Soc.cpu
 
 let run_mode_traced ?superblock mode =
   let ark = Ark_run.create ?superblock ~mode () in
-  Tk_stats.Trace.enable (Ark_run.trace ark);
+  Tk_stats.Trace.enable (Ark_run.plat ark).Tk_drivers.Platform.soc.Soc.trace;
   (match Ark_run.suspend_resume_cycle ark with
   | `Ok -> ()
   | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);

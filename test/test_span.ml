@@ -20,6 +20,8 @@
 open Tk_machine
 open Tk_harness
 module Span = Tk_stats.Span
+module Trace = Tk_stats.Trace
+module Ts = Tk_stats.Timeseries
 module Hyper = Tk_kernel.Hyper
 
 let check = Alcotest.(check int)
@@ -44,9 +46,8 @@ let test_kind_vocabulary () =
 
 (* a tracer on a synthetic clock, driven by raw phase codes *)
 let make_tracer () =
-  let t = Span.create () in
   let now = ref 0 in
-  t.Span.now <- (fun () -> !now);
+  let t = Span.create ~now:(fun () -> !now) () in
   Span.enable t;
   (t, now)
 
@@ -331,6 +332,96 @@ let test_perfetto_valid () =
       checkb "counter events present" true (has {|"ph": "C"|});
       checkb "thread metadata present" true (has {|"thread_name"|}))
 
+(* ------------------------------ fan-out ------------------------------ *)
+
+(* One cycle with the flight recorder, the span tracer and the sampler
+   all on: every layer boundary must reach each sink it feeds. The
+   recorder keeps only the boundary kinds, so its ring holds the whole
+   cycle. Pinned relations, per boundary:
+   - IRQ acknowledge: one irq-deliver event per irq-deliver span;
+   - power-ramp end: one power event per power-ramp span;
+   - phase mark: two marks per suspend / sleep / resume / dev-phase
+     frame, and the sampler's phase column changes at exactly the
+     recorder's (time, code) marks. *)
+let fan_out soc cycle =
+  let tr = soc.Soc.trace and sp = soc.Soc.spans and ts = soc.Soc.sampler in
+  (match Trace.filter_of_names [ "irq"; "power"; "phase" ] with
+  | Ok filter -> Trace.enable ~filter tr
+  | Error n -> Alcotest.failf "unknown trace kind %s" n);
+  Span.enable sp;
+  Ts.enable ts;
+  cycle ();
+  Ts.sample_now ts;
+  let events k = tr.Trace.counts.(k) in
+  checkb "phase marks recorded" true (events Trace.ev_phase > 0);
+  checkb "power events recorded" true (events Trace.ev_power > 0);
+  checkb "irq deliveries recorded" true (events Trace.ev_irq_deliver > 0);
+  check "irq-deliver: trace = spans" (events Trace.ev_irq_deliver)
+    (count_kind sp Span.sk_irq_deliver);
+  check "power: trace = power-ramp spans" (events Trace.ev_power)
+    (count_kind sp Span.sk_power_ramp);
+  check "phase: trace = 2 x phase frames" (events Trace.ev_phase)
+    (2
+    * List.fold_left
+        (fun n k -> n + count_kind sp k)
+        0
+        [ Span.sk_suspend; Span.sk_sleep; Span.sk_resume; Span.sk_dev_phase ]);
+  let trace_marks = ref [] in
+  Trace.iter tr (fun ~time ~core:_ ~kind ~a ~b:_ ->
+      if kind = Trace.ev_phase then trace_marks := (time, a) :: !trace_marks);
+  let rows = Ts.rows ts in
+  let sampler_marks = ref [] in
+  for i = Array.length rows - 1 downto 1 do
+    if rows.(i).(1) <> rows.(i - 1).(1) then
+      sampler_marks := (rows.(i - 1).(0), rows.(i).(1)) :: !sampler_marks
+  done;
+  checkb "phase: sampler marks = trace marks" true
+    (List.rev !trace_marks = !sampler_marks)
+
+let test_fan_out_ark () =
+  let ark = Ark_run.create () in
+  fan_out (Ark_run.plat ark).Tk_drivers.Platform.soc (fun () ->
+      ignore (Ark_run.suspend_resume_cycle ark))
+
+let test_fan_out_native () =
+  let nat = Native_run.create () in
+  fan_out nat.Native_run.plat.Tk_drivers.Platform.soc (fun () ->
+      ignore (Native_run.suspend_resume_cycle nat))
+
+(* Every boundary call with all three sinks off allocates nothing: no
+   closure at the call site, no boxed token. Minor words are read around
+   the batch and compared against an empty batch (reading the counter
+   boxes a float), as in test_timeseries. *)
+let minor_delta f =
+  let a = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. a
+
+let test_probe_off_alloc () =
+  let module P = Tk_stats.Probe in
+  let p = P.create ~now:(fun () -> 0) ~devices:4 in
+  let irq = P.irq p ~core:Trace.core_cpu ~nlines:8 in
+  let baseline = minor_delta (fun () -> ()) in
+  let words =
+    minor_delta (fun () ->
+        for i = 1 to 1000 do
+          P.phase p i;
+          P.irq_raise irq 3;
+          P.irq_ack irq 3;
+          P.ramp_begin p ~dev:2;
+          P.ramp_end p ~dev:2 ~on:true;
+          P.translate_end p (P.translate_begin p ~guest:4) ~gpc:i ~guest:4;
+          P.form_end p (P.form_begin p ~guest:8) ~head:i ~guest:8;
+          P.run_end p (P.run_begin p ~core:Trace.core_cpu);
+          P.run_cut p ~core:Trace.core_m3 (P.run_begin p ~core:Trace.core_m3);
+          P.run_uncut p ~core:Trace.core_m3
+        done)
+  in
+  Alcotest.(check (float 0.0)) "probe calls allocate nothing" baseline words;
+  checkb "sinks stayed off" false
+    (p.P.trace.Trace.enabled || Span.enabled p.P.spans
+    || p.P.sampler.Ts.enabled)
+
 let () =
   Alcotest.run "span"
     [ ( "vocabulary",
@@ -352,4 +443,11 @@ let () =
         [ Alcotest.test_case "span JSONL is valid per line" `Quick
             test_jsonl_valid;
           Alcotest.test_case "perfetto export is valid JSON" `Quick
-            test_perfetto_valid ] ) ]
+            test_perfetto_valid ] );
+      ( "fan-out",
+        [ Alcotest.test_case "ARK cycle reaches every sink" `Quick
+            test_fan_out_ark;
+          Alcotest.test_case "native cycle reaches every sink" `Quick
+            test_fan_out_native;
+          Alcotest.test_case "probe with every sink off allocates nothing"
+            `Quick test_probe_off_alloc ] ) ]

@@ -31,8 +31,7 @@ module Core = Tk_machine.Core
 let synthetic () =
   let now = ref 0 in
   let g1 = ref 0 and g2 = ref 0 in
-  let ts = Ts.create () in
-  ts.Ts.now <- (fun () -> !now);
+  let ts = Ts.create ~now:(fun () -> !now) () in
   Ts.add_gauge ts "g1" (fun () -> !g1);
   Ts.add_gauge ts "g2" (fun () -> !g2);
   (ts, now, g1, g2)

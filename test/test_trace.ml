@@ -20,6 +20,7 @@ module Trace = Tk_stats.Trace
 module Translator = Tk_dbt.Translator
 module Native_run = Tk_harness.Native_run
 module Ark_run = Tk_harness.Ark_run
+module Soc = Tk_machine.Soc
 
 type dg = { counts : int list; total : int; hash : int }
 
@@ -32,20 +33,23 @@ let digest tr =
   let counts, total, hash = Trace.digest tr in
   { counts; total; hash }
 
+let nat_recorder nat = nat.Native_run.plat.Tk_drivers.Platform.soc.Soc.trace
+
 let native_trace ?cap ?filter () =
   let nat = Native_run.create () in
   (* enable after boot: the trace covers exactly one cycle *)
-  Trace.enable ?cap ?filter (Native_run.trace nat);
+  Trace.enable ?cap ?filter (nat_recorder nat);
   ignore (Native_run.suspend_resume_cycle nat);
-  Native_run.trace nat
+  nat_recorder nat
 
 let ark_trace () =
   let ark = Ark_run.create () in
-  Trace.enable (Ark_run.trace ark);
+  let tr = (Ark_run.plat ark).Tk_drivers.Platform.soc.Soc.trace in
+  Trace.enable tr;
   (match Ark_run.suspend_resume_cycle ark with
   | `Ok -> ()
   | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);
-  Ark_run.trace ark
+  tr
 
 (* ------------------- goldens (captured from seed) -------------------- *)
 
@@ -75,7 +79,7 @@ let test_golden_ark () =
 let test_disabled_empty () =
   let nat = Native_run.create () in
   ignore (Native_run.suspend_resume_cycle nat);
-  let tr = Native_run.trace nat in
+  let tr = nat_recorder nat in
   Alcotest.(check int) "no events recorded" 0 tr.Trace.total;
   Alcotest.(check int) "nothing retained" 0 (Trace.retained tr);
   Alcotest.(check bool) "no phase marks" true (tr.Trace.marks = [])
