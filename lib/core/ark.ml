@@ -23,6 +23,19 @@ let emulated_services =
   [ "schedule"; "msleep"; "udelay"; "ktime_get"; "spin_lock"; "spin_unlock" ]
 
 let hooked_services = [ "queue_work_on"; "tasklet_schedule"; "async_schedule" ]
+
+(* per-service counter names, built once (read-only afterwards, so
+   safe to share across domains): every service call bumps one *)
+let counter_key prefix names =
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace tbl n (prefix ^ n)) names;
+  fun name ->
+    match Hashtbl.find tbl name with
+    | k -> k
+    | exception Not_found -> prefix ^ name
+
+let emu_key = counter_key "emu." emulated_services
+let hook_key = counter_key "hook." hooked_services
 let upcall_worker = "worker_thread"
 let upcall_irq_thread = "irq_thread"
 let upcall_softirq = "do_softirq"
@@ -129,7 +142,7 @@ let cur t =
 
 let emu_service t name (cpu : Exec.cpu) =
   let arg n = Engine.guest_reg t.engine cpu n in
-  Counters.incr t.counters ("emu." ^ name);
+  Counters.incr t.counters (emu_key name);
   match name with
   | "spin_lock" ->
     charge_emu t cost_spin;
@@ -177,7 +190,7 @@ let emu_service t name (cpu : Exec.cpu) =
 
 let hook t name (cpu : Exec.cpu) =
   charge_emu t cost_hook;
-  Counters.incr t.counters ("hook." ^ name);
+  Counters.incr t.counters (hook_key name);
   match name with
   | "queue_work_on" ->
     let wq = Engine.guest_reg t.engine cpu 1 in

@@ -75,8 +75,18 @@ type t = {
   block_start : bool array;
       (** dense membership set mirroring [block_starts], same indexing
           as [host_decode] — the hot loop's IRQ-window probe *)
-  mutable cur_pc : int;
+  mutable cur_pc : int;  (** host address of the executing instruction *)
   mutable pc_overridden : bool;
+  (* the unbooked stretch: see {!run_loop} *)
+  mutable run_pc : int;
+      (** first instruction of the stretch [run_pc .. cur_pc] whose retire
+          accounting is still owed; [cur_pc + 4] when nothing is owed *)
+  mutable pc_limit : int;
+      (** last address the stretch may reach unbooked without an event
+          falling due ([min_int] in exact mode) *)
+  mutable fetch_line : int;
+      (** cache line the I-fetch tag check last found resident, [-1]
+          after anything that may have evicted it *)
   mutable chain : bool;
       (** patch direct branch/call sites into host branches (on by
           default; the no-chaining ablation turns it off) *)
@@ -188,6 +198,83 @@ let dummy_env : Exec.env =
     svc = (fun _ _ -> ()); wfi = (fun _ -> ()); irq_ret = (fun _ -> ());
     undef = (fun _ _ -> ()) }
 
+(* ------------------------ stretch booking --------------------------- *)
+
+(* [set_horizon t] — the last address the stretch starting at [run_pc]
+   may reach before it must be booked: {!Core.horizon} instructions
+   ahead, or [min_int] (book every instruction) while the trace or the
+   sampler is recording, since both read time and counters per
+   instruction. *)
+let set_horizon t =
+  t.pc_limit <-
+    (if t.tr.Trace.enabled || t.soc.Soc.sampler.Tk_stats.Timeseries.enabled
+     then min_int
+     else
+       let m = Core.horizon t.soc.Soc.m3 in
+       (* no stretch is longer than the code cache *)
+       if m > Soc.code_cache_size then max_int else t.run_pc + (m lsl 2) - 4)
+
+(* [book t ~imiss ~stall ~extra] — at a point where the
+   per-instruction path charged the clock: book the stretch
+   [run_pc .. cur_pc] (its last [imiss] I-fetches missed, [stall]
+   cycles) plus [extra] cycles in one {!Core.book}, which fires
+   whatever falls due. The stretch is left empty at [cur_pc + 4] before
+   the clock runs, so an event handler that raises cannot get it
+   booked twice, and restored after, in case a handler entered the
+   engine. The caller recomputes the horizon ({!set_horizon} or
+   {!restart}) before the next instruction. *)
+let book t ~imiss ~stall ~extra =
+  let pc0 = t.cur_pc in
+  let k = ((pc0 - t.run_pc) asr 2) + 1 in
+  t.run_pc <- pc0 + 4;
+  t.fetch_line <- -1;
+  t.host_executed <- t.host_executed + k;
+  Core.book t.soc.Soc.m3 ~k ~imiss ~stall ~extra;
+  t.cur_pc <- pc0;
+  t.run_pc <- pc0 + 4
+
+(* [sync t] — book what the stretch owes where the per-instruction
+   path charged nothing beyond the retires themselves: an empty
+   stretch touches no counter and not the clock *)
+let sync t =
+  if t.cur_pc >= t.run_pc then book t ~imiss:0 ~stall:0 ~extra:0;
+  set_horizon t
+
+(* [restart t pc] — open an empty stretch at [pc] after work that may
+   have moved time, scheduled events, touched the cache or run a nested
+   context (which reuses these fields). The caller has booked. *)
+let restart t pc =
+  t.cur_pc <- pc - 4;
+  t.run_pc <- pc;
+  t.fetch_line <- -1;
+  set_horizon t
+
+(* I-fetch tag check on a line change: a hit makes the line current
+   (every fetch from it hits until something books); a miss books the
+   stretch through this instruction, the miss's stall included, exactly
+   where the per-instruction path would have charged it *)
+let check_fetch_line t pcv =
+  let cache = t.soc.Soc.m3.Core.cache in
+  let line = pcv lsr cache.Cache.line_bits in
+  if Array.unsafe_get cache.Cache.tags (Cache.set_of cache line) = line then
+    t.fetch_line <- line
+  else begin
+    let stall = Cache.access cache ~write:false pcv in
+    book t ~imiss:1 ~stall ~extra:0;
+    set_horizon t
+  end
+
+(* a data access that missed the tag check: the full access books the
+   miss, then the stretch is booked with its stall *)
+let data_miss t ~write addr =
+  let stall = Cache.access t.soc.Soc.m3.Core.cache ~write addr in
+  book t ~imiss:0 ~stall ~extra:0;
+  set_horizon t;
+  if t.tr.Trace.enabled then
+    Trace.emit t.tr ~core:Trace.core_m3
+      (if write then Trace.ev_write else Trace.ev_read)
+      addr stall
+
 let rec create ~(soc : Soc.t) ~mode () =
   let tr = soc.Soc.trace in
   let t =
@@ -197,7 +284,9 @@ let rec create ~(soc : Soc.t) ~mode () =
       sites = Hashtbl.create 1024; host_points = Hashtbl.create 4096;
       host_decode = Array.make (Soc.code_cache_size / 4) undecoded;
       block_start = Array.make (Soc.code_cache_size / 4) false;
-      cur_pc = 0; pc_overridden = false;
+      (* the stretch starts empty: [run_pc] one word past [cur_pc] *)
+      cur_pc = 0; pc_overridden = false; run_pc = 4; pc_limit = min_int;
+      fetch_line = -1;
       chain = true; block_limit = Translator.default_block_limit;
       irq_dispatch = true; env = dummy_env;
       guest_translated = 0;
@@ -218,40 +307,70 @@ let rec create ~(soc : Soc.t) ~mode () =
   in
   let m3 = soc.Soc.m3 in
   let mem = soc.Soc.mem in
-  (* flight-recorder emission is one branch on the recorder's enable
-     bit per access; emission never charges simulated cycles *)
+  let cache = m3.Core.cache in
+  let tags = cache.Cache.tags in
+  let line_bits = cache.Cache.line_bits in
+  (* gic-private accesses surface as controller events, not reads *)
+  let gic ~write addr v =
+    let pc0 = t.cur_pc in
+    book t ~imiss:0 ~stall:0 ~extra:cost_gic_fault;
+    let r = t.cb.on_gic_access ~write addr v in
+    restart t (pc0 + 4);
+    r
+  in
+  (* an uncached device access: the device may read the clock and
+     schedule events, so the stretch is booked before it and the
+     horizon recomputed after it *)
+  let mmio_book ~write addr =
+    let penalty = m3.Core.p.Core.mmio_penalty in
+    book t ~imiss:0 ~stall:0 ~extra:penalty;
+    if tr.Trace.enabled then
+      Trace.emit tr ~core:Trace.core_m3
+        (if write then Trace.ev_write else Trace.ev_read)
+        addr penalty
+  in
+  (* The RAM hit path — [Cache.access] and [Core.charge_stall m3 0],
+     inlined — books nothing: a hit costs no cycles, and the horizon
+     keeps the unbooked stretch short of [next_at], so the clock test
+     sees what the booked clock would. Flight-recorder emission is one
+     branch on the recorder's enable bit per access; emission never
+     charges simulated cycles. *)
   let load addr nbytes =
-    if Soc.is_cpu_private addr then begin
-      (* gic-private accesses surface as controller events, not reads *)
-      charge t cost_gic_fault;
-      t.cb.on_gic_access ~write:false addr 0
-    end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:false addr in
-      Core.charge_stall m3 stall;
-      if tr.Trace.enabled then
-        Trace.emit tr ~core:Trace.core_m3 Trace.ev_read addr stall;
+    if Mem.in_ram mem addr then begin
+      let line = addr lsr line_bits in
+      let set = Cache.set_of cache line in
+      if Array.unsafe_get tags set = line then begin
+        cache.Cache.hits <- cache.Cache.hits + 1;
+        let clock = m3.Core.clock in
+        if clock.Clock.next_at <= clock.Clock.now then Clock.run_due clock;
+        if tr.Trace.enabled then
+          Trace.emit tr ~core:Trace.core_m3 Trace.ev_read addr 0
+      end
+      else data_miss t ~write:false addr;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
+    else if Soc.is_cpu_private addr then gic ~write:false addr 0
     else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      if tr.Trace.enabled then
-        Trace.emit tr ~core:Trace.core_m3
-          Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
-      Mem.read mem addr nbytes
+      mmio_book ~write:false addr;
+      let v = Mem.read mem addr nbytes in
+      set_horizon t;
+      v
     end
   in
   let store addr nbytes v =
-    if Soc.is_cpu_private addr then begin
-      charge t cost_gic_fault;
-      ignore (t.cb.on_gic_access ~write:true addr v)
-    end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:true addr in
-      Core.charge_stall m3 stall;
-      if tr.Trace.enabled then
-        Trace.emit tr ~core:Trace.core_m3 Trace.ev_write addr stall;
+    if Mem.in_ram mem addr then begin
+      let line = addr lsr line_bits in
+      let set = Cache.set_of cache line in
+      if Array.unsafe_get tags set = line then begin
+        cache.Cache.hits <- cache.Cache.hits + 1;
+        Array.unsafe_set cache.Cache.dirty set true;
+        let clock = m3.Core.clock in
+        if clock.Clock.next_at <= clock.Clock.now then Clock.run_due clock;
+        if tr.Trace.enabled then
+          Trace.emit tr ~core:Trace.core_m3 Trace.ev_write addr 0
+      end
+      else data_miss t ~write:true addr;
       if nbytes = 4 then Mem.ram_write32 mem addr v
       else Mem.ram_write mem addr nbytes v;
       (* superblock store-invalidation probe: host-only (no simulated
@@ -266,12 +385,11 @@ let rec create ~(soc : Soc.t) ~mode () =
         && addr < Soc.page_pool_base
       then sb_store_check t addr nbytes
     end
+    else if Soc.is_cpu_private addr then ignore (gic ~write:true addr v)
     else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      if tr.Trace.enabled then
-        Trace.emit tr ~core:Trace.core_m3
-          Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
-      Mem.write mem addr nbytes v
+      mmio_book ~write:true addr;
+      Mem.write mem addr nbytes v;
+      set_horizon t
     end
   in
   let svc cpu n = dispatch t cpu n in
@@ -657,10 +775,17 @@ and goto_block t (cpu : Exec.cpu) h =
 
 (* --------------------------- dispatch ------------------------------- *)
 
+(* the trap books the stretch through the svc itself, then works with
+   booked time; a callback may move time, schedule events or run a
+   nested context, so the stretch reopens empty after the site *)
 and dispatch t cpu _code =
-  charge t cost_dispatch;
-  t.engine_exits <- t.engine_exits + 1;
   let site_addr = t.cur_pc in
+  book t ~imiss:0 ~stall:0 ~extra:cost_dispatch;
+  t.engine_exits <- t.engine_exits + 1;
+  dispatch_site t cpu site_addr;
+  restart t (site_addr + 4)
+
+and dispatch_site t cpu site_addr =
   match Hashtbl.find_opt t.sites site_addr with
   | None -> raise (Host_error (Printf.sprintf "stray svc at 0x%x" site_addr))
   | Some info -> (
@@ -758,8 +883,9 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
 
 (* ----------------------------- run ---------------------------------- *)
 
-(* The run loop, shared by every tier:
+(* The run loop, shared by every tier.
 
+   Control flow:
    - the loop-head probes (quantum deadline, exit sentinel, cache
      bounds, block start) only run after a control transfer or a
      callback pc override: translated blocks always end in an
@@ -776,14 +902,51 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
    - a host word marked in [fuse_next] (superblock tier only) executes
      its successor in the same iteration as a fused macro-op: the
      partner keeps its instruction count and its cache traffic, but its
-     base CPI charge is waived;
-   - the per-instruction retire accounting ([Core.retire] and its
-     [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body register-tight. The body allocates nothing, and neither does
-     the memory env it calls on every data access: its hit path,
-     [Core.charge_stall], only tests [Clock.next_at], and
-     [Clock.run_due] builds no closure. test_neutrality bounds a warm
-     cycle at 0.1 minor words per instruction.
+     base CPI charge is waived.
+
+   Retire accounting is booked per straight-line stretch, not per
+   instruction:
+   - the stretch. The instructions whose accounting is still owed are
+     [run_pc .. cur_pc]. They ran straight-line, so there are
+     [(cur_pc - run_pc) / 4 + 1] of them, every I-fetch among them hit,
+     and they owe only base CPI. One {!Core.book} books them: the
+     instruction, I-fetch hit and [host_executed] counts, the CPI carry
+     and the ps->ns carry, both of which telescope exactly, then the
+     clock's due events. Outside {!book} (and the fused slot) the loop
+     and the env write none of those counters, nor [Clock.now].
+   - book before anything observes time. The stretch is booked where
+     the per-instruction path charged something other than base CPI, or
+     where anything may read time or counters: after a taken branch,
+     in {!dispatch} (with the trap's cost), in the env's data-miss,
+     MMIO and GIC paths (with their stall or penalty), on an I-fetch
+     miss (with its stall), and in {!run}'s exception exit. After
+     dispatch, a GIC access or a block boundary the stretch reopens
+     empty ({!restart}).
+   - the horizon. An unbooked clock lags the booked one, so a stretch
+     may only run while no event could have fallen due inside it:
+     [pc_limit] is {!Core.horizon} instructions past [run_pc], counting
+     each at a power-of-two bound on its ns, so it is conservative,
+     never exact, and one shift. An instruction past [pc_limit] is
+     booked at its own retire, as the per-instruction path would. RAM
+     hits therefore stay unbooked: their clock test sees no due event
+     either way.
+   - I-fetch. The cache is direct-mapped, so once a line's tag check
+     hits every fetch from it hits until another access could evict
+     it; the tag check runs on a line change, after a data miss and
+     after a probe (every booking forgets the line).
+   - exact mode. While the trace or the sampler records (each reads
+     time per instruction), [pc_limit] is [min_int]: every instruction
+     is booked at its retire, in this same loop.
+
+   Two hazards pin the neutrality goldens: the stretch must start empty
+   ([run_pc = cur_pc + 4]) or the first booking counts a phantom
+   instruction; and [pc_overridden] is cleared before every step, not
+   where it is read, because a nested run inside a callback clobbers
+   it, as in the per-instruction loop.
+
+   The body allocates nothing, and neither does the memory env it calls
+   on every data access. test_neutrality bounds a warm cycle at 0.1
+   minor words per instruction.
 
    Inside a formed trace there are no block starts, so interior
    boundaries pay no probe, no dispatch and no IRQ window — interrupt
@@ -791,13 +954,8 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
    guest instructions). *)
 let run_loop t (cpu : Exec.cpu) ~fuel =
   let m3 = t.soc.Soc.m3 in
-  let cache = m3.Core.cache in
-  let tags = cache.Cache.tags in
-  let line_bits = cache.Cache.line_bits in
-  let set_mask = cache.Cache.set_mask in
+  let line_bits = m3.Core.cache.Cache.line_bits in
   let clock = m3.Core.clock in
-  let cpi_num = m3.Core.p.Core.cpi_num in
-  let cpi_den = m3.Core.p.Core.cpi_den in
   let tr = t.tr in
   (* tracing and sampling never toggle while translated code is
      executing, so both decisions are hoisted into immutable bools *)
@@ -805,10 +963,10 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
   let env = t.env in
   let ts = t.soc.Soc.sampler in
   let sampling = ts.Tk_stats.Timeseries.enabled in
+  let fusing = t.superblock in
   let r = cpu.Exec.r in
   let n = ref 0 in
   let cur = ref 0 in
-  let cur_idx = ref 0 in
   let probe = ref true in
   while true do
     if !n >= fuel then raise (Host_error "DBT fuel exhausted");
@@ -829,98 +987,39 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
         else v
       in
       cur := v';
-      cur_idx := (if v' = v then i0 else (v' - Soc.code_cache_base) asr 2);
+      restart t v';
       probe := false
     end;
-    let pcv = !cur and idx = !cur_idx in
+    let pcv = !cur in
+    let idx = (pcv - Soc.code_cache_base) asr 2 in
     let i =
       let c = Array.unsafe_get t.host_decode idx in
       if c != undecoded then c else decode_host t pcv
     in
     t.cur_pc <- pcv;
     t.pc_overridden <- false;
-    t.host_executed <- t.host_executed + 1;
-    (* [Core.retire m3 pcv], inlined with its charge/advance call chain
-       and the CPI carry resolution — side effects and cycle arithmetic
-       identical (count, I-fetch through the cache, then base CPI +
-       stall booked to the clock) *)
-    m3.Core.instructions <- m3.Core.instructions + 1;
-    (* I-fetch hit fast path of [Cache.access ~write:false], inlined; a
-       tag mismatch falls back to the full call, which re-runs the
-       (still-missing) lookup and books the miss identically *)
-    let stall =
-      let line = pcv lsr line_bits in
-      let set =
-        if set_mask >= 0 then line land set_mask
-        else line mod cache.Cache.nsets
-      in
-      if Array.unsafe_get tags set = line then begin
-        cache.Cache.hits <- cache.Cache.hits + 1;
-        0
-      end
-      else Cache.access cache ~write:false pcv
-    in
-    if stall <> 0 then m3.Core.stall_cycles <- m3.Core.stall_cycles + stall;
-    let base =
-      if cpi_num = 0 then 1
-      else begin
-        let acc = m3.Core.cpi_acc + cpi_num in
-        if acc < cpi_den then begin m3.Core.cpi_acc <- acc; 1 end
-        else if acc < 2 * cpi_den then begin
-          m3.Core.cpi_acc <- acc - cpi_den; 2
-        end
-        else if acc < 3 * cpi_den then begin
-          m3.Core.cpi_acc <- acc - (2 * cpi_den); 3
-        end
-        else begin
-          m3.Core.cpi_acc <- acc mod cpi_den;
-          1 + (acc / cpi_den)
-        end
-      end
-    in
-    let cycles = base + stall in
-    m3.Core.busy_cycles <- m3.Core.busy_cycles + cycles;
-    let dps = cycles * m3.Core.ps_per_cycle in
-    let ps = dps + m3.Core.frac_ps in
-    m3.Core.busy_ps <- m3.Core.busy_ps + dps;
-    let q =
-      if ps < 0x1_0000_0000 then (ps * 274877907) asr 38 else ps / 1000
-    in
-    m3.Core.frac_ps <- ps - (q * 1000);
-    clock.Clock.now <- clock.Clock.now + q;
-    if clock.Clock.next_at <= clock.Clock.now then Clock.run_due clock;
+    if pcv lsr line_bits <> t.fetch_line then check_fetch_line t pcv;
+    if pcv > t.pc_limit then sync t;
     if traced then
       Trace.emit tr ~core:Trace.core_m3 Trace.ev_retire pcv 0;
     match Exec.step cpu env ~addr:pcv i with
     | Exec.Next ->
       if t.pc_overridden then probe := true
-      else if Array.unsafe_get t.fuse_next idx then begin
-        (* fused macro-op slot: the partner issues with its
-           predecessor — count it and its cache traffic, waive its
-           base CPI ([Core.charge_stall] of an inlined
-           [Core.fetch_cost]) *)
+      else if fusing && Array.unsafe_get t.fuse_next idx then begin
+        (* fused macro-op slot, booked exactly: book the stretch through
+           [pcv], then count the partner and its cache traffic and waive
+           its base CPI ([Core.charge_stall] of a [Core.fetch_cost]) *)
+        sync t;
         let pcv2 = pcv + 4 in
         Array.unsafe_set r pc pcv2;
         let i2 =
           let c = Array.unsafe_get t.host_decode (idx + 1) in
           if c != undecoded then c else decode_host t pcv2
         in
-        t.cur_pc <- pcv2;
         t.host_executed <- t.host_executed + 1;
         m3.Core.instructions <- m3.Core.instructions + 1;
-        let stall2 =
-          let line = pcv2 lsr line_bits in
-          let set =
-            if set_mask >= 0 then line land set_mask
-            else line mod cache.Cache.nsets
-          in
-          if Array.unsafe_get tags set = line then begin
-            cache.Cache.hits <- cache.Cache.hits + 1;
-            0
-          end
-          else Cache.access cache ~write:false pcv2
-        in
-        Core.charge_stall m3 stall2;
+        Core.charge_stall m3 (Core.fetch_cost m3 pcv2);
+        restart t (pcv2 + 4);
         if traced then
           Trace.emit tr ~core:Trace.core_m3 Trace.ev_retire pcv2 0;
         match Exec.step cpu env ~addr:pcv2 i2 with
@@ -928,20 +1027,18 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
           if t.pc_overridden then probe := true
           else begin
             Array.unsafe_set r pc (pcv2 + 4);
-            cur := pcv2 + 4;
-            cur_idx := idx + 2
+            cur := pcv2 + 4
           end
         | Exec.Branched ->
-          Core.charge m3 cost_taken_branch;
+          book t ~imiss:0 ~stall:0 ~extra:cost_taken_branch;
           probe := true
       end
       else begin
         Array.unsafe_set r pc (pcv + 4);
-        cur := pcv + 4;
-        cur_idx := idx + 1
+        cur := pcv + 4
       end
     | Exec.Branched ->
-      Core.charge m3 cost_taken_branch;
+      book t ~imiss:0 ~stall:0 ~extra:cost_taken_branch;
       probe := true
   done
 
@@ -954,7 +1051,8 @@ let run t cpu ~fuel =
      exception (Context_exit, fallback, host error). A burst cut by
      {!Quantum} reopens on resume (zero simulated time passes across
      the cut, and nothing else records in between), so the span stream
-     is the sequential one at every quantum. *)
+     is the sequential one at every quantum. Whatever the stretch still
+     owes is booked before the span closes. *)
   let p = t.soc.Soc.probe and core = Trace.core_m3 in
   let tok = Tk_stats.Probe.run_begin p ~core in
   match run_loop t cpu ~fuel with
@@ -963,6 +1061,7 @@ let run t cpu ~fuel =
     Tk_stats.Probe.run_cut p ~core tok;
     raise Quantum
   | exception e ->
+    sync t;
     Tk_stats.Probe.run_end p tok;
     raise e
 

@@ -67,8 +67,18 @@ type t = {
   block_start : bool array;
       (** dense membership set mirroring [block_starts] (same indexing),
           probed after every control transfer for the IRQ window *)
-  mutable cur_pc : int;
+  mutable cur_pc : int;  (** host address of the executing instruction *)
   mutable pc_overridden : bool;
+  mutable run_pc : int;
+      (** first instruction of the stretch [run_pc .. cur_pc] whose
+          retire accounting the run loop still owes ([cur_pc + 4] when
+          nothing is owed); see the run loop's header *)
+  mutable pc_limit : int;
+      (** last address the stretch may reach unbooked without an event
+          falling due ([min_int] while recording: every retire booked) *)
+  mutable fetch_line : int;
+      (** cache line the I-fetch tag check last found resident, [-1]
+          after anything that may have evicted it *)
   mutable chain : bool;  (** patch direct branches (ablation knob) *)
   mutable block_limit : int;  (** guest instructions per block *)
   mutable irq_dispatch : bool;  (** ARK's spinlock emulation pauses this *)

@@ -63,7 +63,7 @@ type env = {
 }
 
 (** [cond_holds cpu c] evaluates condition [c] against the flags. *)
-let cond_holds cpu = function
+let[@inline] cond_holds cpu = function
   | AL -> true
   | EQ -> cpu.z
   | NE -> not cpu.z
@@ -82,7 +82,7 @@ let cond_holds cpu = function
 
 (* [shift_value] split into a value half and a carry half so the hot
    paths (which usually need only one of the two) stay tuple-free *)
-let shift_res kind v amt =
+let[@inline] shift_res kind v amt =
   let v = Bits.mask32 v in
   match kind, amt with
   | _, 0 -> v
@@ -118,29 +118,29 @@ type outcome = Next | Branched
    Register numbers are 4-bit decode fields (both decoders mask them to
    0..15), so the accesses skip the bounds check. [rset] records a PC
    write in [cpu.branched]. *)
-let rget cpu addr r =
+let[@inline] rget cpu addr r =
   if r = pc then Bits.mask32 (addr + 8) else Array.unsafe_get cpu.r r
 
-let rset cpu r v =
+let[@inline] rset cpu r v =
   if r = pc then begin
     Array.unsafe_set cpu.r pc (Bits.mask32 v land lnot 1);
     cpu.branched <- true
   end
   else Array.unsafe_set cpu.r r (Bits.mask32 v)
 
-let dp_logical cpu s shc res =
+let[@inline] dp_logical cpu s shc res =
   if s then begin
     cpu.n <- Bits.bit res 31; cpu.z <- res = 0; cpu.c <- shc
   end;
   res
 
 (* TST/TEQ (like CMP/CMN) always set flags; they have no S bit *)
-let dp_flags cpu shc res =
+let[@inline] dp_flags cpu shc res =
   cpu.n <- Bits.bit res 31;
   cpu.z <- res = 0;
   cpu.c <- shc
 
-let dp_arith cpu ~s ~sub ~rev ~carry rnv op2v =
+let[@inline] dp_arith cpu ~s ~sub ~rev ~carry rnv op2v =
   let a = if rev then op2v else rnv in
   let b = if rev then rnv else op2v in
   let b' = if sub then Bits.mask32 (lnot b) else b in

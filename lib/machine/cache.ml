@@ -40,13 +40,15 @@ let create ~name ~size_kb ~miss_penalty =
 
 let line_size t = 1 lsl t.line_bits
 
+(** [set_of t line] — the set line number [line] maps to. *)
+let[@inline] set_of t line =
+  if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
+
 (** [access t ~write addr] simulates one access; returns the stall cycles
     (0 on hit, [miss_penalty] on miss) and updates traffic counters. *)
 let access t ~write addr =
   let line = addr lsr t.line_bits in
-  let set =
-    if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
-  in
+  let set = set_of t line in
   (* [set < nsets] by construction (mask or mod), so the unchecked
      accesses are safe *)
   if Array.unsafe_get t.tags set = line then begin

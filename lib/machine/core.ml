@@ -38,13 +38,28 @@ type t = {
   mutable stall_cycles : int;
       (** cycles lost to cache-miss / uncached-IO stalls, a subset of
           [busy_cycles]; the span tracer's attribution ledger reads it *)
+  horizon_shift : int;
+      (** [b + s] where one stall-free instruction costs at most [2^b]
+          base cycles and one cycle at most [2^s] ns: {!horizon}'s
+          conservative ns-per-instruction bound, as a shift *)
 }
 
+(* smallest [e] with [n <= 2^e] *)
+let ceil_log2 n =
+  let rec go e = if n <= 1 lsl e then e else go (e + 1) in
+  go 0
+
 let create ~clock ~cache p =
-  { p; clock; cache; ps_per_cycle = 1_000_000 / p.freq_mhz; cpi_acc = 0;
+  let ps_per_cycle = 1_000_000 / p.freq_mhz in
+  (* the CPI accumulator stays below [cpi_den], so one instruction's
+     base cycles are at most [1 + (cpi_den - 1 + cpi_num) / cpi_den] *)
+  let max_base = 1 + ((p.cpi_den - 1 + p.cpi_num) / p.cpi_den) in
+  let ns_per_cycle = (ps_per_cycle + 999) / 1000 in
+  { p; clock; cache; ps_per_cycle; cpi_acc = 0;
     frac_ps = 0;
     busy_cycles = 0; busy_ps = 0; idle_ps = 0; instructions = 0;
-    stall_cycles = 0 }
+    stall_cycles = 0;
+    horizon_shift = ceil_log2 max_base + ceil_log2 ns_per_cycle }
 
 (** [charge t cycles] books [cycles] of busy execution and advances the
     platform clock (firing any due events). *)
@@ -70,7 +85,7 @@ let charge t cycles =
     platform events only when [next_at <= now]. The test is inline
     because it fails on almost every data access, and [next_at] only
     ever under-reports, so skipping the call can never skip an event. *)
-let charge_stall t stall =
+let[@inline] charge_stall t stall =
   if stall <> 0 then begin
     t.stall_cycles <- t.stall_cycles + stall;
     charge t stall
@@ -111,24 +126,30 @@ let idle_until_limit t ~limit =
 (** [count_instruction t] bumps the retired-instruction counter. *)
 let count_instruction t = t.instructions <- t.instructions + 1
 
-(** [instr_cycles t] — base cycles for one instruction under the core's
-    fractional CPI model (1 + cpi_num/cpi_den on average). *)
-let instr_cycles t =
-  if t.p.cpi_num = 0 then 1
+(** [base_cycles t k] — base cycles for [k] consecutive instructions
+    under the core's fractional CPI model (1 + cpi_num/cpi_den on
+    average), advancing the CPI accumulator. The carry telescopes: [k]
+    calls with [k = 1] return the same total and leave the same
+    accumulator as one call with [k]. *)
+let base_cycles t k =
+  if t.p.cpi_num = 0 then k
   else begin
-    (* the accumulator stays below cpi_den, so after adding cpi_num it
-       is below cpi_den + cpi_num — for the small num/den ratios cores
-       use, the carry resolves with compares instead of an idiv *)
-    let acc = t.cpi_acc + t.p.cpi_num in
+    (* the accumulator stays below cpi_den, so for one instruction the
+       sum stays below cpi_den + cpi_num — for the small num/den ratios
+       cores use, the carry resolves with compares instead of an idiv *)
+    let acc = t.cpi_acc + (k * t.p.cpi_num) in
     let den = t.p.cpi_den in
-    if acc < den then begin t.cpi_acc <- acc; 1 end
-    else if acc < 2 * den then begin t.cpi_acc <- acc - den; 2 end
-    else if acc < 3 * den then begin t.cpi_acc <- acc - (2 * den); 3 end
+    if acc < den then begin t.cpi_acc <- acc; k end
+    else if acc < 2 * den then begin t.cpi_acc <- acc - den; k + 1 end
+    else if acc < 3 * den then begin t.cpi_acc <- acc - (2 * den); k + 2 end
     else begin
       t.cpi_acc <- acc mod den;
-      1 + (acc / den)
+      k + (acc / den)
     end
   end
+
+(** [instr_cycles t] — base cycles for one instruction. *)
+let instr_cycles t = base_cycles t 1
 
 (** [retire t addr] — fused per-instruction accounting for the hot
     interpreter loops: count the instruction and charge base CPI plus
@@ -142,6 +163,32 @@ let retire t addr =
   let stall = Cache.access t.cache ~write:false addr in
   if stall <> 0 then t.stall_cycles <- t.stall_cycles + stall;
   charge t (instr_cycles t + stall)
+
+(** [book t ~k ~imiss ~stall ~extra] — retire accounting for a
+    straight-line stretch of [k] instructions in one step: [k]
+    instructions retired, [k - imiss] I-fetch cache hits (the [imiss]
+    misses were already booked by {!Cache.access}), [stall] cycles of
+    cache-miss stall and [extra] further busy cycles (taken branches,
+    engine traps, uncached IO). Both carries telescope, so the busy
+    counters, [cpi_acc], [frac_ps] and the clock end exactly where [k]
+    calls of {!retire} followed by [charge t extra] leave them; the
+    clock then fires whatever is due. Equal to that sequence as a whole
+    only if no event fell due before its last charge — {!horizon} is
+    how the DBT engine keeps every stretch short of the next event. *)
+let book t ~k ~imiss ~stall ~extra =
+  t.instructions <- t.instructions + k;
+  let c = t.cache in
+  c.Cache.hits <- c.Cache.hits + k - imiss;
+  t.stall_cycles <- t.stall_cycles + stall;
+  charge t (base_cycles t k + stall + extra)
+
+(** [horizon t] — how many stall-free instructions can retire from now
+    before the clock could reach its next event: [k] of them, booked by
+    {!book}, leave [now < next_at]. Conservative (one instruction is
+    counted at [2^horizon_shift] ns) and computed with one shift;
+    negative or zero when an event is due now. *)
+let horizon t =
+  (t.clock.Clock.next_at - t.clock.Clock.now - 1) asr t.horizon_shift
 
 let busy_ns t = t.busy_ps / 1000
 let idle_ns t = t.idle_ps / 1000

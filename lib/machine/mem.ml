@@ -78,7 +78,7 @@ let page_load t i buf =
 (** [add_region t r] registers an MMIO region (latest wins on overlap). *)
 let add_region t r = t.regions <- r :: t.regions
 
-let in_ram t addr = addr >= t.ram_base && addr < t.ram_base + Bytes.length t.ram
+let[@inline] in_ram t addr = addr >= t.ram_base && addr < t.ram_base + Bytes.length t.ram
 
 (* the latest-registered region claiming [addr], or [Not_found]: a
    plain walk, so a device-register access allocates neither a
@@ -113,10 +113,10 @@ let ram_write t addr nbytes v =
    dispatch. The caller has already established [in_ram addr]; the
    Bytes primitives still bounds-check the (rare) case of a word
    straddling the end of RAM. *)
-let ram_read32 t addr =
+let[@inline] ram_read32 t addr =
   Int32.to_int (Bytes.get_int32_le t.ram (addr - t.ram_base)) land 0xFFFFFFFF
 
-let ram_write32 t addr v =
+let[@inline] ram_write32 t addr v =
   let off = addr - t.ram_base in
   Bytes.unsafe_set t.page_touched (off lsr page_bits) '\001';
   Bytes.unsafe_set t.page_touched ((off + 3) lsr page_bits) '\001';

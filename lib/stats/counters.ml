@@ -10,22 +10,27 @@ type t = (string, int ref) Hashtbl.t
 (** [create ()] is an empty counter set. *)
 let create () : t = Hashtbl.create 64
 
+(* one lookup, and no [Some] box on the hit path: counters are bumped
+   per emulated-service call *)
 let find (t : t) name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add t name r;
     r
 
 (** [add t name n] bumps counter [name] by [n], creating it at 0 first. *)
-let add (t : t) name n = find t name := !(find t name) + n
+let add (t : t) name n =
+  let r = find t name in
+  r := !r + n
 
 (** [incr t name] is [add t name 1]. *)
 let incr (t : t) name = add t name 1
 
 (** [get t name] is the current value of [name] (0 if never touched). *)
-let get (t : t) name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+let get (t : t) name =
+  match Hashtbl.find t name with r -> !r | exception Not_found -> 0
 
 (** [set t name v] overwrites [name] with [v]. *)
 let set (t : t) name v = find t name := v

@@ -219,6 +219,99 @@ let prop_cache_rehit =
       ignore (Cache.access cache ~write:false addr);
       Cache.access cache ~write:false (addr lxor 3) = 0)
 
+(* property: booking a straight-line stretch of [k] instructions in one
+   step ([Core.book], the DBT engine's retire accounting) ends exactly
+   where [k] per-instruction charges followed by the stall and extra
+   cycles do — busy counters, both carries, the clock and the events
+   fired — from any starting carries, for any CPI and clock ratio; and
+   a stretch as long as [Core.horizon] allows leaves no event due *)
+type stretch = {
+  num : int;
+  den : int;
+  freq_mhz : int;  (** 1200 -> 833 ps per cycle, 200 -> 5000 *)
+  k : int;
+  imiss : int;  (** 1: the last instruction's I-fetch missed *)
+  stall : int;  (** that miss's stall, else a data miss after it *)
+  extra : int;
+  acc0 : int;
+  frac0 : int;
+  now0 : int;
+  events : int list;  (** offsets from [now0] *)
+}
+
+let stretch_gen =
+  QCheck.Gen.(
+    oneof [ return (0, 1); return (4, 3); pair (int_bound 6) (int_range 1 7) ]
+    >>= fun (num, den) ->
+    oneof [ return 1200; return 200; int_range 50 2000 ] >>= fun freq_mhz ->
+    int_range 0 400 >>= fun k ->
+    (if k = 0 then return 0 else int_bound 1) >>= fun imiss ->
+    int_bound 40 >>= fun stall ->
+    int_bound 60 >>= fun extra ->
+    int_bound (den - 1) >>= fun acc0 ->
+    int_bound 999 >>= fun frac0 ->
+    int_bound 100_000 >>= fun now0 ->
+    list_size (int_range 1 8) (int_bound 6_000) >>= fun events ->
+    return
+      { num; den; freq_mhz; k; imiss; stall; extra; acc0; frac0; now0;
+        events })
+
+let print_stretch c =
+  Printf.sprintf
+    "cpi 1+%d/%d, %d MHz, k=%d imiss=%d stall=%d extra=%d, acc0=%d \
+     frac0=%d now0=%d, events +[%s]"
+    c.num c.den c.freq_mhz c.k c.imiss c.stall c.extra c.acc0 c.frac0
+    c.now0 (String.concat ";" (List.map string_of_int c.events))
+
+let stretch_core c =
+  let clock = Clock.create () in
+  clock.Clock.now <- c.now0;
+  let cache = Cache.create ~name:"p" ~size_kb:4 ~miss_penalty:20 in
+  let core =
+    Core.create ~clock ~cache
+      { Soc.m3_params with
+        Core.freq_mhz = c.freq_mhz; cpi_num = c.num; cpi_den = c.den }
+  in
+  core.Core.cpi_acc <- c.acc0;
+  core.Core.frac_ps <- c.frac0;
+  let fired = ref [] in
+  List.iteri
+    (fun i off -> Clock.after_ clock off (fun () -> fired := i :: !fired))
+    c.events;
+  (core, fired)
+
+let stretch_state (core : Core.t) fired =
+  ( [ core.Core.busy_cycles; core.Core.busy_ps; core.Core.frac_ps;
+      core.Core.cpi_acc; core.Core.clock.Clock.now; core.Core.instructions;
+      core.Core.stall_cycles; core.Core.cache.Cache.hits ],
+    List.rev !fired )
+
+let prop_stretch_booking =
+  QCheck.Test.make ~count:500 ~name:"stretch booking = per-instruction charges"
+    (QCheck.make ~print:print_stretch stretch_gen)
+    (fun c ->
+      let per, per_fired = stretch_core c in
+      for j = 1 to c.k do
+        Core.count_instruction per;
+        let missed = c.imiss = 1 && j = c.k in
+        let cache = per.Core.cache in
+        if not missed then cache.Cache.hits <- cache.Cache.hits + 1;
+        let s = if missed then c.stall else 0 in
+        per.Core.stall_cycles <- per.Core.stall_cycles + s;
+        Core.charge per (Core.instr_cycles per + s)
+      done;
+      if c.imiss = 0 then Core.charge_stall per c.stall;
+      if c.extra > 0 then Core.charge per c.extra;
+      let one, one_fired = stretch_core c in
+      Core.book one ~k:c.k ~imiss:c.imiss ~stall:c.stall ~extra:c.extra;
+      let hz, hz_fired = stretch_core c in
+      let m = Core.horizon hz in
+      if m > 0 then Core.book hz ~k:m ~imiss:0 ~stall:0 ~extra:0;
+      stretch_state per per_fired = stretch_state one one_fired
+      && (m <= 0
+         || (!hz_fired = []
+            && hz.Core.clock.Clock.now < hz.Core.clock.Clock.next_at)))
+
 let () =
   Alcotest.run "machine"
     [ ( "clock",
@@ -245,4 +338,5 @@ let () =
           Alcotest.test_case "glitch injection" `Quick test_device_glitch ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_clock_order;
-          QCheck_alcotest.to_alcotest prop_cache_rehit ] ) ]
+          QCheck_alcotest.to_alcotest prop_cache_rehit;
+          QCheck_alcotest.to_alcotest prop_stretch_booking ] ) ]

@@ -182,6 +182,51 @@ let test_chaining_equivalence () =
   Alcotest.(check (list int)) "warn codes" w_off w_on;
   Alcotest.(check int) "final exit r0" r_off r_on
 
+(* ------------------- horizon stress ---------------------------------- *)
+
+(* The DBT engine books retire accounting once per straight-line
+   stretch and keeps every stretch short of the next clock event; with
+   a recorder on it books every instruction at its retire instead. A
+   dense stream of no-op events — gaps cycling through 1..64 ns, so an
+   event falls inside almost every stretch — must leave the two modes
+   in the same simulated state after a warm ARK cycle. *)
+let stress_cycle ~sampled =
+  let ark = Ark_run.create () in
+  let cycle () =
+    match Ark_run.suspend_resume_cycle ark with
+    | `Ok -> ()
+    | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r
+  in
+  cycle ();
+  let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
+  if sampled then Tk_stats.Timeseries.enable soc.Soc.sampler;
+  let live = ref true and fired = ref 0 in
+  let rec arm i =
+    Clock.after_ soc.Soc.clock (1 + (i mod 64)) (fun () ->
+        incr fired;
+        if !live then arm (i + 1))
+  in
+  arm 0;
+  cycle ();
+  live := false;
+  let eng = ark.Ark_run.ark.Transkernel.Ark.engine in
+  let hits (c : Core.t) = c.Core.cache.Cache.hits in
+  ( !fired,
+    ( Core.activity soc.Soc.cpu, hits soc.Soc.cpu,
+      Core.activity soc.Soc.m3, hits soc.Soc.m3 ),
+    ( Clock.seq_value soc.Soc.clock, soc.Soc.clock.Clock.now,
+      eng.Tk_dbt.Engine.host_executed, eng.Tk_dbt.Engine.engine_exits ) )
+
+let test_horizon_stress () =
+  let fired, cores, engine = stress_cycle ~sampled:false in
+  let fired', cores', engine' = stress_cycle ~sampled:true in
+  if fired < 100_000 then Alcotest.failf "only %d stream events fired" fired;
+  Alcotest.(check int) "stream events fired" fired' fired;
+  if cores <> cores' then
+    Alcotest.fail "core activity or cache counters differ (stretch vs exact)";
+  if engine <> engine' then
+    Alcotest.fail "clock seq/now or engine counters differ (stretch vs exact)"
+
 (* ------------------- allocation-free steady state -------------------- *)
 
 (* The host-side companion of the goldens above: the per-access and
@@ -304,6 +349,9 @@ let () =
             test_baseline_traced;
           Alcotest.test_case "superblock tier (tracing on)" `Quick
             test_superblock_traced ] );
+      ( "horizon stress",
+        [ Alcotest.test_case "dense events: stretch = exact booking" `Quick
+            test_horizon_stress ] );
       ( "chaining ablation",
         [ Alcotest.test_case "on/off architectural equivalence" `Quick
             test_chaining_equivalence ] );
