@@ -210,7 +210,7 @@ let set_horizon t =
     (if t.tr.Trace.enabled || t.soc.Soc.sampler.Tk_stats.Timeseries.enabled
      then min_int
      else
-       let m = Core.horizon t.soc.Soc.m3 in
+       let m = Core.horizon t.soc.Soc.m3 ~deadline:max_int in
        (* no stretch is longer than the code cache *)
        if m > Soc.code_cache_size then max_int else t.run_pc + (m lsl 2) - 4)
 

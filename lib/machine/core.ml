@@ -1,11 +1,14 @@
 (** Per-core timing and activity accounting.
 
-    A core charges cycles for every retired instruction (plus cache-miss
-    stalls and uncached-IO penalties) and the platform clock advances
-    accordingly — only one core runs at a time, matching the paper's
-    execution model (all other CPU cores are shut down around the
-    offloaded phase). WFI fast-forwards to the next platform event and
-    books the gap as idle.
+    A core is charged cycles for the instructions it retires (plus
+    cache-miss stalls and uncached-IO penalties) and the platform clock
+    advances accordingly. Both interpreters book a stretch of retired
+    instructions at a time ({!book}), kept short of the next event
+    ({!horizon}), which leaves every counter and the clock where
+    per-instruction charging would. Only one core runs at a time,
+    matching the paper's execution model (all other CPU cores are shut
+    down around the offloaded phase). WFI fast-forwards to the next
+    platform event and books the gap as idle.
 
     Busy/idle picosecond totals per core are what Figure 5a plots and the
     energy model integrates. *)
@@ -70,8 +73,9 @@ let charge t cycles =
   t.busy_ps <- t.busy_ps + dps;
   (* ps/1000 by reciprocal multiplication — exact for 0 <= ps < 2^32
      (the 56-ulp error of 274877907 ~= 2^38/1000 stays below 1/1000
-     there); this runs once per retired instruction, where the idiv
-     pair it replaces was a measurable share of the accounting cost *)
+     there); this runs at every booking, miss and device access, where
+     the idiv pair it replaces was a measurable share of the accounting
+     cost *)
   let q =
     if ps < 0x1_0000_0000 then (ps * 274877907) asr 38 else ps / 1000
   in
@@ -151,19 +155,6 @@ let base_cycles t k =
 (** [instr_cycles t] — base cycles for one instruction. *)
 let instr_cycles t = base_cycles t 1
 
-(** [retire t addr] — fused per-instruction accounting for the hot
-    interpreter loops: count the instruction and charge base CPI plus
-    the fetch stall in one call. Cycle-identical to
-    [count_instruction t; charge t (instr_cycles t + fetch_cost t addr)]
-    including side-effect order (the fetch's cache access happens before
-    the CPI accumulator update, as in the seed's right-to-left argument
-    evaluation). *)
-let retire t addr =
-  t.instructions <- t.instructions + 1;
-  let stall = Cache.access t.cache ~write:false addr in
-  if stall <> 0 then t.stall_cycles <- t.stall_cycles + stall;
-  charge t (instr_cycles t + stall)
-
 (** [book t ~k ~imiss ~stall ~extra] — retire accounting for a
     straight-line stretch of [k] instructions in one step: [k]
     instructions retired, [k - imiss] I-fetch cache hits (the [imiss]
@@ -171,10 +162,12 @@ let retire t addr =
     cache-miss stall and [extra] further busy cycles (taken branches,
     engine traps, uncached IO). Both carries telescope, so the busy
     counters, [cpi_acc], [frac_ps] and the clock end exactly where [k]
-    calls of {!retire} followed by [charge t extra] leave them; the
-    clock then fires whatever is due. Equal to that sequence as a whole
-    only if no event fell due before its last charge — {!horizon} is
-    how the DBT engine keeps every stretch short of the next event. *)
+    per-instruction retires (count, I-fetch, then
+    [charge t (instr_cycles t + stall)]) followed by [charge t extra]
+    leave them; the clock then fires whatever is due. Equal to that
+    sequence as a whole only if no event fell due before its last
+    charge — {!horizon} is how both interpreters keep every stretch
+    short of the next event. *)
 let book t ~k ~imiss ~stall ~extra =
   t.instructions <- t.instructions + k;
   let c = t.cache in
@@ -182,13 +175,18 @@ let book t ~k ~imiss ~stall ~extra =
   t.stall_cycles <- t.stall_cycles + stall;
   charge t (base_cycles t k + stall + extra)
 
-(** [horizon t] — how many stall-free instructions can retire from now
-    before the clock could reach its next event: [k] of them, booked by
-    {!book}, leave [now < next_at]. Conservative (one instruction is
+(** [horizon t ~deadline] — how many stall-free instructions can retire
+    from now before the clock could reach its next event or absolute
+    time [deadline]: [k] of them, booked by {!book}, leave
+    [now < min next_at deadline]. Conservative (one instruction is
     counted at [2^horizon_shift] ns) and computed with one shift;
-    negative or zero when an event is due now. *)
-let horizon t =
-  (t.clock.Clock.next_at - t.clock.Clock.now - 1) asr t.horizon_shift
+    negative or zero when an event is due now or the deadline reached. *)
+let horizon t ~deadline =
+  let c = t.clock in
+  let bound =
+    if c.Clock.next_at < deadline then c.Clock.next_at else deadline
+  in
+  (bound - c.Clock.now - 1) asr t.horizon_shift
 
 let busy_ns t = t.busy_ps / 1000
 let idle_ns t = t.idle_ps / 1000

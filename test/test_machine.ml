@@ -305,7 +305,7 @@ let prop_stretch_booking =
       let one, one_fired = stretch_core c in
       Core.book one ~k:c.k ~imiss:c.imiss ~stall:c.stall ~extra:c.extra;
       let hz, hz_fired = stretch_core c in
-      let m = Core.horizon hz in
+      let m = Core.horizon hz ~deadline:max_int in
       if m > 0 then Core.book hz ~k:m ~imiss:0 ~stall:0 ~extra:0;
       stretch_state per per_fired = stretch_state one one_fired
       && (m <= 0

@@ -190,6 +190,21 @@ let test_chaining_equivalence () =
    dense stream of no-op events — gaps cycling through 1..64 ns, so an
    event falls inside almost every stretch — must leave the two modes
    in the same simulated state after a warm ARK cycle. *)
+
+(* [event_stream clock] starts the stream; the returned function stops
+   it and says how many events fired *)
+let event_stream clock =
+  let live = ref true and fired = ref 0 in
+  let rec arm i =
+    Clock.after_ clock (1 + (i mod 64)) (fun () ->
+        incr fired;
+        if !live then arm (i + 1))
+  in
+  arm 0;
+  fun () ->
+    live := false;
+    !fired
+
 let stress_cycle ~sampled =
   let ark = Ark_run.create () in
   let cycle () =
@@ -200,18 +215,12 @@ let stress_cycle ~sampled =
   cycle ();
   let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
   if sampled then Tk_stats.Timeseries.enable soc.Soc.sampler;
-  let live = ref true and fired = ref 0 in
-  let rec arm i =
-    Clock.after_ soc.Soc.clock (1 + (i mod 64)) (fun () ->
-        incr fired;
-        if !live then arm (i + 1))
-  in
-  arm 0;
+  let stop = event_stream soc.Soc.clock in
   cycle ();
-  live := false;
+  let fired = stop () in
   let eng = ark.Ark_run.ark.Transkernel.Ark.engine in
   let hits (c : Core.t) = c.Core.cache.Cache.hits in
-  ( !fired,
+  ( fired,
     ( Core.activity soc.Soc.cpu, hits soc.Soc.cpu,
       Core.activity soc.Soc.m3, hits soc.Soc.m3 ),
     ( Clock.seq_value soc.Soc.clock, soc.Soc.clock.Clock.now,
@@ -226,6 +235,111 @@ let test_horizon_stress () =
     Alcotest.fail "core activity or cache counters differ (stretch vs exact)";
   if engine <> engine' then
     Alcotest.fail "clock seq/now or engine counters differ (stretch vs exact)"
+
+(* The same stream over a warm native cycle: the A9 interpreter books
+   per stretch too, counting instructions across branches, and keeps
+   each stretch short of the next event (and of its slice's deadline). *)
+let native_stress_cycle ~sampled =
+  let nat = Native_run.create () in
+  let cycle () = ignore (Native_run.suspend_resume_cycle nat) in
+  cycle ();
+  let soc = nat.Native_run.plat.Tk_drivers.Platform.soc in
+  if sampled then Tk_stats.Timeseries.enable soc.Soc.sampler;
+  let stop = event_stream soc.Soc.clock in
+  cycle ();
+  let fired = stop () in
+  let cpu = soc.Soc.cpu in
+  ( fired,
+    (Core.activity cpu, cpu.Core.cache.Cache.hits),
+    (Clock.seq_value soc.Soc.clock, soc.Soc.clock.Clock.now) )
+
+let test_native_horizon_stress () =
+  let fired, core, clock = native_stress_cycle ~sampled:false in
+  let fired', core', clock' = native_stress_cycle ~sampled:true in
+  if fired < 100_000 then Alcotest.failf "only %d stream events fired" fired;
+  Alcotest.(check int) "stream events fired" fired' fired;
+  if core <> core' then
+    Alcotest.fail "A9 activity or cache hits differ (stretch vs exact)";
+  Alcotest.(check (pair int int)) "clock seq/now (stretch vs exact)" clock'
+    clock
+
+(* Slicing one native guest call at arbitrary deadlines
+   ([Native_run.call_step], the lockstep A9 lane) against the
+   per-instruction reference loop — [Interp.step] while [now < deadline]
+   — on a second platform, and against one unsliced [Native_run.call]
+   on a third. Each slice must end at the reference's instruction, with
+   its clock and counters; the whole call must end in the same state on
+   all three. Deadlines lie 0-3 ns ahead, inside the current stretch,
+   or past the next clock event. The three platforms (one call, sliced,
+   reference) stay equal from case to case, so one boot serves every
+   case. *)
+let slicing_plats = lazy (Array.init 3 (fun _ -> Native_run.create ()))
+
+let nat_soc (n : Native_run.t) = n.Native_run.plat.Tk_drivers.Platform.soc
+
+let nat_state (n : Native_run.t) =
+  let soc = nat_soc n in
+  let c = soc.Soc.cpu in
+  ( Core.activity c,
+    (c.Core.cache.Cache.hits, c.Core.busy_cycles, c.Core.stall_cycles),
+    (Clock.seq_value soc.Soc.clock, soc.Soc.clock.Clock.now) )
+
+let slice_gap (soc : Soc.t) (kind, r) =
+  let clock = soc.Soc.clock in
+  let to_event = clock.Clock.next_at - clock.Clock.now in
+  match kind with
+  | 0 -> r mod 4
+  | 1 -> 1 + (r mod max 1 (min to_event 2_000 - 1))
+  | _ -> if to_event > 20_000 then r mod 20_000 else to_event + (r mod 64)
+
+let prop_native_slicing =
+  QCheck.Test.make ~count:10
+    ~name:"native call sliced at random deadlines = one call"
+    (* no shrinker: after a failing case the platforms differ, so a
+       shrunk case would prove nothing *)
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (list (pair int int)))
+       QCheck.Gen.(
+         pair (oneofl [ "pm_suspend"; "wifi_prepare_traffic" ])
+           (list_size (int_range 1 16)
+              (pair (int_bound 2) (int_bound 1_000_000)))))
+    (fun (fn, gaps) ->
+      let plats = Lazy.force slicing_plats in
+      let one = plats.(0) and sliced = plats.(1) and refr = plats.(2) in
+      let r0 = Native_run.call one fn [] in
+      Native_run.start_call sliced fn [];
+      Native_run.start_call refr fn [];
+      let gaps = Array.of_list gaps in
+      let soc = nat_soc sliced and rsoc = nat_soc refr in
+      let rclock = rsoc.Soc.clock in
+      let interp = refr.Native_run.interp in
+      let rec go i =
+        let gap = slice_gap soc gaps.(i mod Array.length gaps) in
+        let deadline = soc.Soc.clock.Clock.now + gap in
+        let got = Native_run.call_step sliced ~deadline in
+        let want =
+          match
+            while rclock.Clock.now < deadline do
+              Tk_machine.Interp.step interp
+            done
+          with
+          | () -> `Runnable
+          | exception Tk_machine.Interp.Halt _ ->
+            `Done refr.Native_run.last_exit_r0
+        in
+        if got <> want || nat_state sliced <> nat_state refr then
+          QCheck.Test.fail_reportf
+            "%s, slice %d (deadline %d): sliced run ends at %d ns with %d \
+             instructions, reference at %d ns with %d"
+            fn i deadline soc.Soc.clock.Clock.now
+            soc.Soc.cpu.Core.instructions rclock.Clock.now
+            rsoc.Soc.cpu.Core.instructions;
+        match got with `Done r -> r | `Runnable -> go (i + 1)
+      in
+      let r_sliced = go 0 in
+      r_sliced = r0
+      && nat_state sliced = nat_state one
+      && nat_state refr = nat_state one)
 
 (* ------------------- allocation-free steady state -------------------- *)
 
@@ -351,7 +465,10 @@ let () =
             test_superblock_traced ] );
       ( "horizon stress",
         [ Alcotest.test_case "dense events: stretch = exact booking" `Quick
-            test_horizon_stress ] );
+            test_horizon_stress;
+          Alcotest.test_case "native: dense events, stretch = exact booking"
+            `Quick test_native_horizon_stress;
+          QCheck_alcotest.to_alcotest prop_native_slicing ] );
       ( "chaining ablation",
         [ Alcotest.test_case "on/off architectural equivalence" `Quick
             test_chaining_equivalence ] );
