@@ -1,7 +1,7 @@
 (* arksim — drive the transkernel simulation from the command line.
 
      arksim run [--mode native|ark|mid|baseline] [--tier ark|superblock]
-                [--cache-dir DIR] [--cycles N]
+                [--cycles N]
                 [--kernel v3.16|v4.4|v4.9|v4.20] [--sleep-ms N]
                 [--glitch-every N] [--resume-native] [--m3-cache KB]
                 [--timeseries FILE] [--sample-every NS] [--manifest FILE]
@@ -348,16 +348,15 @@ let summarize label (core : Tk_machine.Core.t) params warns =
     (Power.total e /. 1000.)
     warns
 
-let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
+let run_cmd mode tier cycles layout sleep_ms glitch_every
     resume_native m3_cache certify_traces quantum concurrent
     trace_file trace_filter trace_cap profile ts_file sample_every
     manifest_file spans_file perfetto_file verbose =
   let kernel = layout.Tk_kernel.Layout.version in
   let telemetry = telemetry_on ~ts_file ~manifest_file ~sample_every in
   let superblock = tier = `Superblock in
-  if (superblock || cache_dir <> None) && mode <> `Dbt Translator.Ark then begin
-    Printf.eprintf
-      "run: --tier superblock and --cache-dir require --mode ark\n";
+  if superblock && mode <> `Dbt Translator.Ark then begin
+    Printf.eprintf "run: --tier superblock requires --mode ark\n";
     exit 2
   end;
   if certify_traces && not superblock then begin
@@ -398,7 +397,7 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
     else 0
   | `Dbt dbt_mode ->
     let ark =
-      Ark_run.create ~layout ~mode:dbt_mode ~superblock ?cache_dir ~sleep_ms
+      Ark_run.create ~layout ~mode:dbt_mode ~superblock ~sleep_ms
         ?m3_cache_kb:m3_cache ()
     in
     let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
@@ -448,16 +447,13 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
       (List.length ark.Ark_run.fallbacks);
     if superblock then begin
       Printf.printf
-        "superblock: %d traces, %d fusions, %d warm hits, \
-         %d invalidations, %d flushes\n"
+        "superblock: %d traces, %d fusions, %d invalidations, %d flushes\n"
         e.Tk_dbt.Engine.traces_formed e.Tk_dbt.Engine.fusions_applied
-        e.Tk_dbt.Engine.cache_warm_hits e.Tk_dbt.Engine.invalidations
-        e.Tk_dbt.Engine.flushes;
+        e.Tk_dbt.Engine.invalidations e.Tk_dbt.Engine.flushes;
       if certify_traces then
         Printf.printf "certifier: %d plan(s) rejected\n"
           e.Tk_dbt.Engine.certify_rejects
     end;
-    if cache_dir <> None then Ark_run.save_cache ark;
     trace_finish soc ~trace_file ~devices:ark.Ark_run.nat.Native_run.devices;
     spans_finish soc ~spans_file ~perfetto_file;
     if profile then print_profile e;
@@ -663,9 +659,7 @@ module Finding = Tk_analysis.Finding
 module Rule_check = Tk_analysis.Rule_check
 module Image_lint = Tk_analysis.Image_lint
 module Abi_check = Tk_analysis.Abi_check
-module Cfg = Tk_analysis.Cfg
 module Certify = Tk_analysis.Certify
-module Absint = Tk_analysis.Absint
 
 (* the same call-target classification ARK installs in the engine
    (Ark.classify_of_man), rebuilt from the linked image's resolved ABI:
@@ -694,8 +688,8 @@ let variant_conv =
           | `All -> "all"
           | `One (l : Tk_kernel.Layout.t) -> l.Tk_kernel.Layout.version) )
 
-let analyze_cmd image_sel rules abi cfg certify absint json =
-  let run_all = not (rules || abi || cfg || certify || absint) in
+let analyze_cmd image_sel rules abi cfg certify json =
+  let run_all = not (rules || abi || cfg || certify) in
   let tagged : (string * Finding.t) list ref = ref [] in
   let collect image fs =
     tagged := !tagged @ List.map (fun f -> (image, f)) fs
@@ -708,7 +702,7 @@ let analyze_cmd image_sel rules abi cfg certify absint json =
   let layouts =
     match image_sel with `All -> Tk_kernel.Variants.all | `One l -> [ l ]
   in
-  if abi || cfg || certify || absint || run_all then
+  if abi || cfg || certify || run_all then
     List.iter
       (fun (lay : Tk_kernel.Layout.t) ->
         let version = lay.Tk_kernel.Layout.version in
@@ -724,11 +718,6 @@ let analyze_cmd image_sel rules abi cfg certify absint json =
           let r = Abi_check.check image in
           Abi_check.print_report r;
           collect version r.Abi_check.findings
-        end;
-        if absint || run_all then begin
-          let r = Absint.analyze (Cfg.build image) in
-          Absint.print_report r;
-          collect version r.Absint.findings
         end;
         (* opt-in: differentially executes every formable trace plan *)
         if certify then begin
@@ -795,13 +784,6 @@ let tier_arg =
            ~doc:"DBT optimization tier: ark (block-at-a-time, default) or \
                  superblock (hot-chain trace formation with macro-op \
                  fusion; requires --mode ark).")
-
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persistent translation cache directory, keyed by the \
-                 kernel image digest: load it before the run (warm \
-                 start) and save it after. Requires --mode ark.")
 
 let cycles_arg =
   Arg.(value & opt int 1 & info [ "cycles" ] ~docv:"N" ~doc:"Cycles to run.")
@@ -922,7 +904,7 @@ let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ])
 
 let run_t =
   Term.(
-    const run_cmd $ mode_arg $ tier_arg $ cache_dir_arg $ cycles_arg
+    const run_cmd $ mode_arg $ tier_arg $ cycles_arg
     $ layout_arg $ sleep_arg $ glitch_arg $ resume_native_arg $ m3_cache_arg
     $ certify_traces_arg $ quantum_arg $ concurrent_arg
     $ trace_arg $ trace_filter_arg
@@ -1051,9 +1033,8 @@ let cmds =
     Cmd.v
       (Cmd.info "analyze"
          ~doc:"Static verification: translation-rule validation, guest \
-               image CFG lint, ABI conformance, SMC-clean abstract \
-               interpretation and (opt-in) superblock trace \
-               certification. Exits non-zero on any error-severity \
+               image CFG lint, ABI conformance and (opt-in) superblock \
+               trace certification. Exits non-zero on any error-severity \
                finding.")
       Term.(
         const analyze_cmd
@@ -1078,11 +1059,6 @@ let cmds =
                          image against the sequential composition of its \
                          constituent blocks (opt-in; not part of the \
                          default pass set).")
-        $ Arg.(value & flag
-               & info [ "absint" ]
-                   ~doc:"Whole-image abstract interpretation: classify \
-                         every store target and report the functions \
-                         proven never to store into code (SMC-clean).")
         $ Arg.(value & opt (some string) None
                & info [ "json" ] ~docv:"FILE"
                    ~doc:"Also write the findings as JSONL to $(docv).")) ]

@@ -2,7 +2,7 @@
     code section back into the shared AST, split it into basic blocks at
     fragment entries, branch targets and control-flow terminators, and
     expose the site classes the dataflow passes ({!Image_lint},
-    {!Absint}, {!Certify}) consume. *)
+    {!Certify}) consume. *)
 
 open Tk_isa
 open Tk_isa.Types

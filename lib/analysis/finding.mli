@@ -1,6 +1,6 @@
 (** Shared currency of the static verification layer: one {e finding}
-    per rule divergence, CFG lint hit, ABI violation, trace-certifier
-    divergence or abstract-interpretation verdict.
+    per rule divergence, CFG lint hit, ABI violation or trace-certifier
+    divergence.
 
     Every analysis pass reduces to a list of findings; the
     [arksim analyze] driver renders them as a human table and/or JSONL,
@@ -14,8 +14,7 @@ val severity_name : severity -> string
 
 type t = {
   pass : string;
-      (** producing pass: ["rules"], ["cfg"], ["abi"], ["certify"] or
-          ["absint"] *)
+      (** producing pass: ["rules"], ["cfg"], ["abi"] or ["certify"] *)
   severity : severity;
   code : string;  (** stable machine tag, e.g. ["rule-divergence"] *)
   where : string;  (** instruction form or [symbol+0xoff] site *)

@@ -41,11 +41,6 @@ val fallback_census : Cfg.t -> (string, int) Hashtbl.t * Finding.t list
 (** translation-category histogram over the code section plus findings
     for instructions that hit fallback (warning when on the hot path) *)
 
-val stack_delta : inst -> int option
-(** stack growth of one instruction in bytes (full-descending stacks);
-    [None] = writes SP in a way static analysis cannot bound. Shared
-    with {!Absint} so both passes agree on SP discipline. *)
-
 type frame = {
   fr_local : int;  (** max depth reached inside the function *)
   fr_calls : (int * int) list;  (** (depth at call site, callee addr) *)

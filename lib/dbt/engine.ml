@@ -143,23 +143,17 @@ type t = {
   mutable pending_flush : bool;
       (** a guest store hit covered code; the whole cache is evicted at
           the next block/trace boundary *)
-  mutable store : Cache_store.t option;
-      (** persistent translation cache (lazy warm replay) *)
   mutable traces_formed : int;
   mutable fusions_applied : int;
-  mutable cache_warm_hits : int;
-      (** deliberately {e not} a telemetry gauge: warm and cold runs must
-          produce byte-identical manifests, and this is the one counter
-          that differs between them *)
   mutable invalidations : int;  (** covered words hit by guest stores *)
   mutable flushes : int;  (** whole-cache evictions performed *)
   (* static-analysis product consumed by the tier *)
   mutable sb_certify : (Superblock.plan -> bool) option;
-      (** online trace certifier hook: a formed (or warm-loaded) plan is
-          admitted only if the hook proves it equivalent to its
-          constituent blocks; [None] (default) admits everything *)
+      (** online trace certifier hook: a formed plan is admitted only
+          if the hook proves it equivalent to its constituent blocks;
+          [None] (default) admits everything *)
   mutable certify_rejects : int;
-      (** plans refused by [sb_certify] (warm or fresh) *)
+      (** plans refused by [sb_certify] *)
   mutable deadline_ns : int;
       (** bounded-quantum lockstep: the run loop raises {!Quantum} at
           the first resumable point once the M3 clock reaches this
@@ -300,8 +294,8 @@ let rec create ~(soc : Soc.t) ~mode () =
       fuse_next = Array.make (Soc.code_cache_size / 4) false;
       guest_cover =
         Bytes.make ((Soc.page_pool_base - Soc.kernel_base) / 4) '\000';
-      pending_flush = false; store = None;
-      traces_formed = 0; fusions_applied = 0; cache_warm_hits = 0;
+      pending_flush = false;
+      traces_formed = 0; fusions_applied = 0;
       invalidations = 0; flushes = 0;
       sb_certify = None; certify_rejects = 0; deadline_ns = max_int }
   in
@@ -408,8 +402,7 @@ let rec create ~(soc : Soc.t) ~mode () =
   gauge "dbt_patches" (fun () -> t.patches);
   gauge "dbt_exits" (fun () -> t.engine_exits);
   gauge "dbt_host_retired" (fun () -> t.host_executed);
-  (* superblock counters (warm hits intentionally absent: warm and cold
-     manifests must stay byte-identical) *)
+  (* superblock counters *)
   gauge "dbt_traces" (fun () -> t.traces_formed);
   gauge "dbt_fusions" (fun () -> t.fusions_applied);
   (* span-tracer attribution gauges ride on Span, not the sampler: the
@@ -492,32 +485,12 @@ and translate_block t gpc =
   match Hashtbl.find_opt t.block_map gpc with
   | Some h -> h
   | None ->
-    (* lazy warm replay: the store is consulted at the very instant a
-       cold run would translate, and the simulated translation cost is
-       still charged, so the warm timeline (and manifest digest) is
-       byte-identical — only the host-side translation work is skipped *)
-    let warm =
-      match t.store with
-      | None -> None
-      | Some st -> Cache_store.find_block st gpc
+    let ctx =
+      { Translator.mode = t.mode; classify_target = t.classify_target;
+        block_limit = t.block_limit; read_guest = read_guest t;
+        legalize = Translator.default_legalize }
     in
-    let b =
-      match warm with
-      | Some b ->
-        t.cache_warm_hits <- t.cache_warm_hits + 1;
-        b
-      | None ->
-        let ctx =
-          { Translator.mode = t.mode; classify_target = t.classify_target;
-            block_limit = t.block_limit; read_guest = read_guest t;
-            legalize = Translator.default_legalize }
-        in
-        let b = Translator.translate ctx ~gpc in
-        (match t.store with
-        | Some st -> Cache_store.record_block st gpc b
-        | None -> ());
-        b
-    in
+    let b = Translator.translate ctx ~gpc in
     (* the translation burst covers the simulated translation charge;
        back-to-back misses coalesce into one burst span *)
     let guest = b.Translator.b_guest_count in
@@ -601,8 +574,7 @@ and sb_mark_fusions t lo hi =
 
 (* whole-cache eviction: the translated-code invalidation granularity.
    Blocks, traces, chain links, fusion marks and the cover map all go;
-   counters survive. The persistent store is dropped too — a
-   self-modified image no longer matches its on-disk key. *)
+   counters survive. *)
 and flush_cache t =
   t.cursor <- Soc.code_cache_base;
   Hashtbl.reset t.block_map;
@@ -619,8 +591,7 @@ and flush_cache t =
   Array.fill t.fuse_next 0 (Array.length t.fuse_next) false;
   Bytes.fill t.guest_cover 0 (Bytes.length t.guest_cover) '\000';
   t.pending_flush <- false;
-  t.flushes <- t.flushes + 1;
-  t.store <- None
+  t.flushes <- t.flushes + 1
 
 (* ----------------------- superblock formation ----------------------- *)
 
@@ -645,51 +616,21 @@ and sb_chain_of t head =
 and sb_try_form t head =
   let chain = sb_chain_of t head in
   if List.length chain >= 2 then begin
-    let certified p =
-      match t.sb_certify with
-      | None -> true
-      | Some ok ->
-        ok p
-        ||
-        (t.certify_rejects <- t.certify_rejects + 1;
-         false)
-    in
     match
-      let warm =
-        match t.store with
-        | None -> None
-        | Some st -> Cache_store.find_trace st head
+      let p =
+        Superblock.plan ~read_guest:(read_guest t)
+          ~classify_target:t.classify_target ~block_limit:t.block_limit
+          ~chain
       in
-      let fresh () =
-        let p =
-          Superblock.plan ~read_guest:(read_guest t)
-            ~classify_target:t.classify_target ~block_limit:t.block_limit
-            ~chain
-        in
-        (* a fresh plan failing certification aborts formation outright:
-           no charge, no emission, and [formed] one-shots the head so
-           the rejected chain is never retried *)
-        if not (certified p) then raise (Superblock.Abort "certify");
-        (match t.store with
-        | Some st -> Cache_store.record_trace st p
-        | None -> ());
-        p
-      in
-      match warm with
-      | Some p when List.map fst p.Superblock.p_blocks = chain ->
-        if certified p then begin
-          t.cache_warm_hits <- t.cache_warm_hits + 1;
-          p
-        end
-        else begin
-          (* warm plan refused: evict it from the store and re-derive
-             from the guest stream (cache_store certificate gating) *)
-          (match t.store with
-          | Some st -> Hashtbl.remove st.Cache_store.traces head
-          | None -> ());
-          fresh ()
-        end
-      | _ -> fresh ()
+      (* a plan failing certification aborts formation outright: no
+         charge, no emission, and [formed] one-shots the head so the
+         rejected chain is never retried *)
+      (match t.sb_certify with
+      | Some ok when not (ok p) ->
+        t.certify_rejects <- t.certify_rejects + 1;
+        raise (Superblock.Abort "certify")
+      | _ -> ());
+      p
     with
     | exception Superblock.Abort _ -> ()
     | p ->

@@ -124,22 +124,16 @@ type t = {
   mutable pending_flush : bool;
       (** a guest store hit covered code; the cache is evicted at the
           next block/trace boundary *)
-  mutable store : Cache_store.t option;
-      (** persistent translation cache (lazy warm replay) *)
   mutable traces_formed : int;
   mutable fusions_applied : int;
-  mutable cache_warm_hits : int;
-      (** deliberately not a telemetry gauge: warm and cold manifests
-          must stay byte-identical and this counter differs *)
   mutable invalidations : int;  (** covered words hit by guest stores *)
   mutable flushes : int;  (** whole-cache evictions performed *)
   (* static-analysis product consumed by the tier *)
   mutable sb_certify : (Superblock.plan -> bool) option;
-      (** online trace certifier: a formed (or warm-loaded) plan is
-          admitted only if the hook proves it equivalent to its
-          constituent blocks; [None] (default) admits everything *)
-  mutable certify_rejects : int;
-      (** plans refused by [sb_certify] (warm or fresh) *)
+      (** online trace certifier: a formed plan is admitted only if
+          the hook proves it equivalent to its constituent blocks;
+          [None] (default) admits everything *)
+  mutable certify_rejects : int;  (** plans refused by [sb_certify] *)
   mutable deadline_ns : int;
       (** bounded-quantum lockstep: the run loop raises {!Quantum} at
           the first resumable point once the M3 clock reaches this

@@ -19,11 +19,7 @@
     one reload at the head, a spill before every engine site or trace
     exit while the slot is dirty, and a reload after every resumable
     site. Between those boundaries r10-using instructions run as single
-    substituted host instructions.
-
-    The result is pure data ({!plan}) — Marshal-safe, so
-    {!Cache_store} persists plans alongside plain blocks for
-    warm-starting. *)
+    substituted host instructions. *)
 
 open Tk_isa.Types
 

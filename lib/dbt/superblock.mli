@@ -2,8 +2,7 @@
     concatenates a hot chain of translation blocks (interior terminal
     sites dropped, side exits kept), and re-homes the emulated guest r10
     into the dead host register r12 across the whole trace when the
-    chain's guest code never touches r12. Produces pure Marshal-safe
-    data so {!Cache_store} can persist plans for warm-starting. *)
+    chain's guest code never touches r12. *)
 
 open Tk_isa
 

@@ -385,12 +385,11 @@ let run_instance (cfg : config) (dc : dconfig) ark ~lat ~pressure ~energy_sk
       | Some w when Random.State.int rng dc.dc_glitch_every = 0 ->
         w.Device.glitch_next_resume <- true
       | _ -> ());
-      let before = List.length ark.Ark_run.events in
       let misses0 = soc.Soc.m3.Core.cache.Cache.misses in
       (match Ark_run.suspend_resume_cycle ark with
       | `Ok -> ()
       | `Fell_back _ -> incr falls);
-      let evs = Ark_run.events_of_cycle ark ~before in
+      let evs = List.rev ark.Ark_run.events in
       let t_wake = ev_time 901 evs
       and t_up = ev_time Hyper.ph_resume_end evs in
       if t_wake >= 0 && t_up >= t_wake then Sketch.add lat (t_up - t_wake);

@@ -27,9 +27,8 @@ type t = {
   nat : Native_run.t;  (** the booted platform (native side) *)
   ark : Ark.t;
   mutable events : phase_event list;
+      (** the current cycle's phase marks, newest first *)
   mutable fallbacks : (string * int) list;  (** reason, time *)
-  cache_dir : string option;
-      (** persistent translation cache directory, when warm-starting *)
   mutable quantum : int;
       (** bounded-quantum lockstep: slice offloaded phases every this
           many ns (0 = the sequential scheduler). At [1] digests are
@@ -84,31 +83,16 @@ let build_manifest (plat : Platform.t) : Manifest.t =
 
 (** [create ?layout ?mode ?sleep_ms ()] boots the platform natively and
     prepares ARK. [mode] picks the DBT optimization level; [superblock]
-    stacks the trace tier on top of [Ark]; [cache_dir] attaches a
-    persistent translation cache keyed by the pristine image digest (a
-    stale or missing file is an ordinary cold start). *)
+    stacks the trace tier on top of [Ark]. *)
 let create ?layout ?built ?devices ?(mode = Translator.Ark)
-    ?(superblock = false) ?cache_dir ?sleep_ms ?m3_cache_kb
+    ?(superblock = false) ?sleep_ms ?m3_cache_kb
     ?(quantum = 0) () =
   let plat = Platform.create ?layout ?built ?m3_cache_kb () in
   let nat = Native_run.create ?devices ?sleep_ms ~plat () in
   let man = build_manifest plat in
   let ark = Ark.create ~soc:plat.soc ~mode ~superblock ~man () in
-  (match cache_dir with
-  | Some dir when mode = Translator.Ark ->
-    let image = plat.built.Image.image in
-    let key =
-      Tk_dbt.Cache_store.key_of_image ~base:image.Asm.base
-        ~words:image.Asm.words
-    in
-    ark.Ark.engine.Tk_dbt.Engine.store <-
-      Some
-        (match Tk_dbt.Cache_store.load ~dir ~key with
-        | Some st -> st
-        | None -> Tk_dbt.Cache_store.create ~key)
-  | Some _ | None -> ());
   let t =
-    { nat; ark; events = []; fallbacks = []; cache_dir; quantum;
+    { nat; ark; events = []; fallbacks = []; quantum;
       ls_rounds = 0; ls_commits = 0; ls_max_skew_ns = 0 }
   in
   (* span-tracer attribution: fallbacks taken, from ARK's own counter *)
@@ -128,13 +112,12 @@ let create ?layout ?built ?devices ?(mode = Translator.Ark)
           :: t.nat.Native_run.warns);
   t
 
-(** [save_cache t] persists the engine's translation cache to the
-    directory given at [create] time (no-op otherwise, or when the
-    image self-modified and the store was dropped). *)
-let save_cache t =
-  match (t.cache_dir, t.ark.Ark.engine.Tk_dbt.Engine.store) with
-  | Some dir, Some st -> Tk_dbt.Cache_store.save ~dir st
-  | _ -> ()
+(* each cycle starts both phase logs empty: marks the guest raises on
+   the CPU (a native resume, a fallback's receiver) land in [t.nat]'s,
+   the offloaded phases' in [t]'s *)
+let clear_events t =
+  t.events <- [];
+  t.nat.Native_run.events <- []
 
 (* resume a migrated context natively: the receiver-thread step of §6 *)
 let receive_fallback t (st : Ark.guest_state) =
@@ -185,6 +168,7 @@ let offload_phase t which : Ark.outcome =
 let suspend_resume_cycle ?(prepare_traffic = true) ?(resume_native = false) t =
   let nat = t.nat in
   let soc = (plat t).soc in
+  clear_events t;
   if prepare_traffic && List.mem "wifi" nat.Native_run.devices then
     ignore (Native_run.call nat "wifi_prepare_traffic" []);
   ignore (Native_run.call nat "freeze_processes" []);
@@ -325,6 +309,7 @@ let concurrent_cycle ?(prepare_traffic = true) ?(domains = false)
     ?(workload_bytes = 256 * 1024) t =
   let nat = t.nat in
   let soc = (plat t).soc in
+  clear_events t;
   if prepare_traffic && List.mem "wifi" nat.Native_run.devices then
     ignore (Native_run.call nat "wifi_prepare_traffic" []);
   ignore (Native_run.call nat "freeze_processes" []);
@@ -358,16 +343,3 @@ let concurrent_cycle ?(prepare_traffic = true) ?(domains = false)
   Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
   ignore (Native_run.call nat "thaw_processes" []);
   !result
-
-(** Per-cycle phase events, oldest first (same shape as the native
-    runner's). *)
-let events_of_cycle t ~before =
-  let evs = ref [] and n = ref (List.length t.events - before) in
-  List.iter
-    (fun e ->
-      if !n > 0 then begin
-        evs := e :: !evs;
-        decr n
-      end)
-    t.events;
-  !evs

@@ -12,10 +12,9 @@ type phase_event = { ev_code : int; ev_time_ns : int; ev_m3 : Core.activity }
 type t = {
   nat : Native_run.t;  (** the booted platform (native side) *)
   ark : Transkernel.Ark.t;
-  mutable events : phase_event list;  (** newest first *)
+  mutable events : phase_event list;
+      (** the current cycle's phase marks, newest first *)
   mutable fallbacks : (string * int) list;  (** (reason, time) *)
-  cache_dir : string option;
-      (** persistent translation cache directory, when warm-starting *)
   mutable quantum : int;
       (** bounded-quantum lockstep: slice offloaded phases every this
           many ns (0 = the sequential scheduler). Any quantum produces
@@ -40,7 +39,6 @@ val create :
   ?devices:string list ->
   ?mode:Tk_dbt.Translator.mode ->
   ?superblock:bool ->
-  ?cache_dir:string ->
   ?sleep_ms:int ->
   ?m3_cache_kb:int ->
   ?quantum:int ->
@@ -48,17 +46,10 @@ val create :
   t
 (** boot the platform natively and prepare ARK; [mode] picks the DBT
     optimization level (the Figure 6 bars). [superblock] stacks the
-    trace-formation tier on top of [Ark] mode. [cache_dir] attaches a
-    persistent translation cache keyed by the pristine image digest — a
-    missing or stale cache file is an ordinary cold start. [built]
+    trace-formation tier on top of [Ark] mode. [built]
     reuses a pre-compiled kernel image (see
     {!Tk_drivers.Platform.create}) — the fleet layer compiles once and
     boots many shard worlds from the same immutable image. *)
-
-val save_cache : t -> unit
-(** persist the engine's translation cache to the [cache_dir] given at
-    [create] time (no-op without one, or after the store was dropped by
-    a self-modifying-code flush) *)
 
 val receive_fallback : t -> Transkernel.Ark.guest_state -> int
 (** resume a migrated context natively on the CPU (the receiver step of
@@ -70,7 +61,9 @@ val suspend_resume_cycle :
 (** one full ephemeral-task cycle with the device phases offloaded:
     native freeze -> handoff -> ARK dpm_suspend -> deep sleep -> ARK
     dpm_resume -> handback -> native thaw. [resume_native] models the
-    urgent-wakeup path (§4): resume runs on the CPU instead. *)
+    urgent-wakeup path (§4): resume runs on the CPU instead. Clears
+    [t.events] and the native runner's log first, so afterwards
+    [List.rev t.events] is this cycle's phase events, oldest first. *)
 
 val concurrent_cycle :
   ?prepare_traffic:bool ->
@@ -84,8 +77,5 @@ val concurrent_cycle :
     bounded-quantum lockstep scheduler (quantum from [t.quantum],
     default 20 us when unset). [domains] runs the two cores on separate
     host domains — architectural results are identical to the
-    deterministic interleave, only wall-clock differs. *)
-
-val events_of_cycle : t -> before:int -> phase_event list
-(** the phase events recorded since [before] (a prior length of
-    [t.events]), oldest first *)
+    deterministic interleave, only wall-clock differs. Clears the phase
+    logs like {!suspend_resume_cycle}. *)

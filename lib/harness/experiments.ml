@@ -84,21 +84,14 @@ let measure_native ?layout () =
   let before = Core.activity soc.Soc.cpu in
   let dma_rd0 = soc.Soc.mem.Mem.dma_read_bytes
   and dma_wr0 = soc.Soc.mem.Mem.dma_write_bytes in
-  let ev_before = List.length nat.Native_run.events in
-  ignore (Native_run.suspend_resume_cycle nat);
+  let evs = Native_run.suspend_resume_cycle nat in
   let after = Core.activity soc.Soc.cpu in
   let whole_delta = Core.activity_delta before after in
   let events =
-    Native_run.(
-      let evs = ref [] and n = ref (List.length nat.events - ev_before) in
-      List.iter
-        (fun e ->
-          if !n > 0 then begin
-            evs := (e.ev_code, e.ev_cpu) :: !evs;
-            decr n
-          end)
-        nat.events;
-      !evs)
+    List.map
+      (fun (e : Native_run.phase_event) ->
+        (e.Native_run.ev_code, e.Native_run.ev_cpu))
+      evs
   in
   let suspend, resume, devices = extract_phases events in
   let dma =
@@ -125,14 +118,13 @@ let measure_mode ?layout ?m3_cache_kb ?(label = "") mode =
   let dma_rd0 = soc.Soc.mem.Mem.dma_read_bytes
   and dma_wr0 = soc.Soc.mem.Mem.dma_write_bytes in
   let emu0 = ark.Ark_run.ark.Transkernel.Ark.emu_cycles in
-  let ev_before = List.length ark.Ark_run.events in
   let res = Ark_run.suspend_resume_cycle ark in
   let after = Core.activity soc.Soc.m3 in
   let whole_delta = Core.activity_delta before after in
   let events =
-    List.map
+    List.rev_map
       (fun (e : Ark_run.phase_event) -> (e.Ark_run.ev_code, e.Ark_run.ev_m3))
-      (Ark_run.events_of_cycle ark ~before:ev_before)
+      ark.Ark_run.events
   in
   let suspend, resume, devices = extract_phases events in
   let dma =

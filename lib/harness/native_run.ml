@@ -117,21 +117,14 @@ let create ?layout ?devices ?(sleep_ms = 50) ?(plat : Platform.t option) () =
 
 (** [suspend_resume_cycle t] runs one full ephemeral-task kernel cycle
     (freeze -> dpm_suspend -> sleep -> dpm_resume -> thaw) natively.
-    Returns the phase events of this cycle, oldest first. *)
+    The phase log starts empty with each cycle; returns this cycle's
+    phase events, oldest first. *)
 let suspend_resume_cycle ?(prepare_traffic = true) t =
-  let before = List.length t.events in
+  t.events <- [];
   if prepare_traffic && List.mem "wifi" t.devices then
     ignore (call t "wifi_prepare_traffic" []);
   ignore (call t "pm_suspend" []);
-  let evs = ref [] and n = ref (List.length t.events - before) in
-  List.iter
-    (fun e ->
-      if !n > 0 then begin
-        evs := e :: !evs;
-        decr n
-      end)
-    t.events;
-  !evs
+  List.rev t.events
 
 (** [device_states t] reads each device's kernel-side power state out of
     guest memory (for end-state differential tests). *)

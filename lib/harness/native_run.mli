@@ -16,7 +16,8 @@ type t = {
   plat : Tk_drivers.Platform.t;
   interp : Interp.t;
   devices : string list;  (** registered subset (a "kernel config") *)
-  mutable events : phase_event list;  (** newest first *)
+  mutable events : phase_event list;
+      (** the current cycle's phase marks, newest first *)
   mutable warns : int list;  (** WARN codes, newest first *)
   mutable console : char list;
   mutable sleep_ns_total : int;
@@ -53,8 +54,8 @@ val call_step : ?fuel:int -> t -> deadline:int -> [ `Done of int | `Runnable ]
 val suspend_resume_cycle :
   ?prepare_traffic:bool -> t -> phase_event list
 (** one full ephemeral-task kernel cycle (freeze -> dpm_suspend -> deep
-    sleep -> dpm_resume -> thaw), natively; returns the cycle's phase
-    events, oldest first *)
+    sleep -> dpm_resume -> thaw), natively. Clears [t.events] first;
+    returns the cycle's phase events, oldest first *)
 
 val set_async : t -> string -> bool -> unit
 (** mark a device for asynchronous suspend/resume (Linux's parallelized

@@ -41,6 +41,62 @@ let test_repeated_cycles () =
     (fun (n, s) -> checki (n ^ " on") 1 s)
     (Native_run.device_states ark.Ark_run.nat)
 
+(* each runner's phase log restarts with every cycle: after 50 cycles it
+   holds exactly the last cycle's marks, not a growing history. Even ARK
+   cycles resume on the CPU (the urgent-wakeup path), whose marks land
+   in the native runner's log, so that log is checked under ARK too. *)
+let test_phase_log_one_cycle () =
+  let devices = [ "reg"; "kb" ] in
+  let now (plat : Tk_drivers.Platform.t) =
+    plat.Tk_drivers.Platform.soc.Tk_machine.Soc.clock.Tk_machine.Clock.now
+  in
+  let codes l = List.map (fun (e : Native_run.phase_event) -> e.ev_code) l in
+  let since t0 l =
+    List.for_all (fun (e : Native_run.phase_event) -> e.ev_time_ns >= t0) l
+  in
+  let nat = Native_run.create ~devices () in
+  let first = Native_run.suspend_resume_cycle nat in
+  checkb "native cycle records marks" true (first <> []);
+  let t0 = ref 0 and last = ref [] in
+  for _ = 2 to 50 do
+    t0 := now nat.Native_run.plat;
+    last := Native_run.suspend_resume_cycle nat
+  done;
+  checkb "native log = the last cycle's events" true
+    (List.rev nat.Native_run.events = !last);
+  checkb "native log has one cycle's marks" true
+    (codes !last = codes first);
+  checkb "native log starts at the last cycle" true (since !t0 !last);
+  let ark = Ark_run.create ~devices () in
+  let ark_cycle i =
+    ignore (Ark_run.suspend_resume_cycle ~resume_native:(i mod 2 = 0) ark)
+  in
+  let ark_codes () =
+    List.rev_map
+      (fun (e : Ark_run.phase_event) -> e.ev_code)
+      ark.Ark_run.events
+  in
+  ark_cycle 1;
+  ark_cycle 2;
+  let first = ark_codes ()
+  and first_nat = codes (List.rev ark.Ark_run.nat.Native_run.events) in
+  checkb "ARK cycle records marks" true (first <> []);
+  checkb "native resume records marks" true (first_nat <> []);
+  for i = 3 to 50 do
+    t0 := now (Ark_run.plat ark);
+    ark_cycle i
+  done;
+  checkb "ARK log has one cycle's marks" true (ark_codes () = first);
+  checkb "ARK log starts at the last cycle" true
+    (List.for_all
+       (fun (e : Ark_run.phase_event) -> e.ev_time_ns >= !t0)
+       ark.Ark_run.events);
+  let nat_log = List.rev ark.Ark_run.nat.Native_run.events in
+  checkb "native log under ARK has one cycle's marks" true
+    (codes nat_log = first_nat);
+  checkb "native log under ARK starts at the last cycle" true
+    (since !t0 nat_log)
+
 let test_idle_time_preserved () =
   (* §7.3: "ARK shows the same amount of accumulated idle time" *)
   let nat = Experiments.measure_native () in
@@ -277,7 +333,9 @@ let () =
           Alcotest.test_case "hooks and services fired" `Quick
             test_hooks_fired;
           Alcotest.test_case "warm code cache" `Quick
-            test_code_cache_growth_bounded ] );
+            test_code_cache_growth_bounded;
+          Alcotest.test_case "phase logs hold one cycle" `Quick
+            test_phase_log_one_cycle ] );
       ( "configurations",
         [ Alcotest.test_case "async device suspend" `Slow test_async_suspend;
           Alcotest.test_case "device-subset config" `Quick test_config_subset;

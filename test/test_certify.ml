@@ -1,26 +1,21 @@
-(* The translation certifier and the SMC-clean abstract interpretation.
+(* The translation certifier and the CFG edge cases it relies on.
 
    Certifier: a crafted hot chain (same shape as the superblock tests —
    the loop body straddles the block limit) must certify clean, with the
    r10-in-r12 re-homing applied; a deliberately corrupted plan (one
    fused constant off by one) must be convicted with a concrete state;
    an engine whose [sb_certify] hook vetoes every plan must fall back to
-   plain blocks and still match the native interpreter.
+   plain blocks and still match the native interpreter, counting each
+   refusal once and never re-offering a refused head.
 
-   Abstract interpretation: stack-disciplined functions prove clean,
-   a seeded constant store into the code section convicts exactly its
-   own word (word-granular ranges), and spans straddling the end of the
-   code section stay conservatively SMC-suspect, while a loop storing
-   to a constant image-data target proves fully clean. CFG recovery
-   keeps blocks reachable only through superblock side exits and feeds
-   the indirect-call census. *)
+   CFG recovery keeps blocks reachable only through superblock side
+   exits and feeds the indirect-call census. *)
 
 open Tk_isa
 open Tk_isa.Types
 open Tk_machine
 open Tk_dbt
 module Cfg = Tk_analysis.Cfg
-module Absint = Tk_analysis.Absint
 module Certify = Tk_analysis.Certify
 module Image_lint = Tk_analysis.Image_lint
 module Finding = Tk_analysis.Finding
@@ -115,31 +110,6 @@ let certify image plan =
     ~read_guest:(Certify.read_guest_of_image image)
     ~classify_target:classify_none
     ~block_limit:Translator.default_block_limit plan
-
-(* hot store loop: every iteration writes the counter into the image
-   data window (probe territory), but the target is a proven constant
-   past the code section — every code word is SMC-clean *)
-let store_image () =
-  let data = base + 0x8000 in
-  let str_data =
-    Mem { ld = false; size = Word; rt = 0; rn = 3; off = Oimm 0; idx = Offset }
-  in
-  let items =
-    (* the target address is materialized inside the loop body: the
-       analysis is per-block, so the store's base must be a constant in
-       its own block for the word to prove clean *)
-    [ Asm.Ins (at (Movw (0, 0))); Asm.Ins (at (Movw (1, 200)));
-      Asm.Label ".top";
-      Asm.Ins (at (Movw (3, data land 0xFFFF)));
-      Asm.Ins (at (Movt (3, data lsr 16))) ]
-    @ rep 13 (at (Dp (ADD, false, 0, 0, Imm 1)))
-    @ [ Asm.Ins (at str_data);
-        Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
-        Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
-        Asm.Bcc (NE, ".top");
-        Asm.Ins ret ]
-  in
-  Asm.link ~base [ { Asm.name = "storefn"; items } ] []
 
 (* side exit inside the hot loop to a cold block nothing else reaches *)
 let side_exit_image () =
@@ -257,6 +227,24 @@ let test_engine_certifier_admits () =
   checkb "trace formed" true (engine.Engine.traces_formed >= 1);
   checki "nothing rejected" 0 engine.Engine.certify_rejects
 
+(* formation has one path, plan fresh then certify: every refusal is
+   counted exactly once, and a refused head is never offered again *)
+let test_certify_rejects_once () =
+  let image = hot_image () in
+  let heads = ref [] in
+  let veto (p : Superblock.plan) =
+    heads := p.Superblock.p_head :: !heads;
+    false
+  in
+  let n = run_native image "hotfn" in
+  let s, engine = run_sb ~admit:veto image "hotfn" in
+  check_arch "vetoed formation" n s;
+  checkb "the certifier was consulted" true (!heads <> []);
+  checki "one reject per consultation" (List.length !heads)
+    engine.Engine.certify_rejects;
+  checki "each head offered once" (List.length !heads)
+    (List.length (List.sort_uniq compare !heads))
+
 (* ------------------------ CFG edge cases ------------------------------ *)
 
 let test_cfg_side_exit_block () =
@@ -301,119 +289,6 @@ let test_cfg_indirect_census () =
   checkb "no fallback counted" true
     (Hashtbl.find_opt counts "fallback" = None)
 
-(* ----------------------- abstract interpretation ---------------------- *)
-
-let verdict_of r name =
-  List.find (fun (v : Absint.fverdict) -> v.Absint.v_name = name)
-    r.Absint.a_funcs
-
-let in_ranges r addr =
-  List.exists (fun (lo, hi) -> addr >= lo && addr < hi)
-    r.Absint.a_clean_ranges
-
-(* a disciplined stack store, and a loop storing to a constant target
-   past the code section: both functions prove clean word for word *)
-let test_absint_stack_clean () =
-  let stack_image =
-    Asm.link ~base
-      [ { Asm.name = "kernel_main";
-          items =
-            [ Asm.Ins (at (Dp (SUB, false, 13, 13, Imm 8)));
-              Asm.Ins
-                (at
-                   (Mem
-                      { ld = false; size = Word; rt = 0; rn = 13;
-                        off = Oimm 4; idx = Offset }));
-              Asm.Ins (at (Dp (ADD, false, 13, 13, Imm 8)));
-              Asm.Ins ret ] } ]
-      []
-  in
-  List.iter
-    (fun (image, fn, cls) ->
-      let r = Absint.analyze (Cfg.build image) in
-      let v = verdict_of r fn in
-      checkb (cls ^ " store proves clean") true v.Absint.v_clean;
-      checki "one store" 1 v.Absint.v_stores;
-      checkb ("counted as " ^ cls) true
-        (match List.assoc_opt cls r.Absint.a_hist with
-        | Some n -> n >= 1
-        | None -> false);
-      checkb "whole function's words are clean" true
-        (Absint.clean_words r * 4 >= v.Absint.v_size))
-    [ (stack_image, "kernel_main", "stack");
-      (store_image (), "storefn", "image-data") ];
-  (* the seed kernel: its clean ranges and words, counted exactly *)
-  let r =
-    Absint.analyze (Cfg.build (Lazy.force seed_built).Tk_kernel.Image.image)
-  in
-  checki "seed image: clean ranges" 183 (List.length r.Absint.a_clean_ranges);
-  checki "seed image: clean words" 4895 (Absint.clean_words r)
-
-(* the SMC store convicts only its own word: the ranges remain clean
-   around it (word granularity, not function granularity) *)
-let test_absint_smc_word_granular () =
-  let entry = base in
-  let image =
-    Asm.link ~base
-      [ { Asm.name = "kernel_main";
-          items =
-            [ Asm.Ins (at (Movw (3, entry land 0xFFFF)));
-              Asm.Ins (at (Movt (3, entry lsr 16)));
-              Asm.Ins
-                (at
-                   (Mem
-                      { ld = false; size = Word; rt = 0; rn = 3;
-                        off = Oimm 0; idx = Offset }));
-              Asm.Ins ret ] } ]
-      []
-  in
-  let r = Absint.analyze (Cfg.build image) in
-  let v = verdict_of r "kernel_main" in
-  checkb "SMC store convicts the function" true (not v.Absint.v_clean);
-  checkb "histogram shows the code-section store" true
-    (match List.assoc_opt "code" r.Absint.a_hist with
-    | Some n -> n >= 1
-    | None -> false);
-  checkb "the store word itself is not clean" true
-    (not (in_ranges r (entry + 8)));
-  checkb "the neighbouring movw word stays clean" true
-    (in_ranges r entry)
-
-let test_absint_straddle_end () =
-  let image =
-    Asm.link ~base
-      [ { Asm.name = "kernel_main";
-          items = [ Asm.Ins (at Nop); Asm.Ins ret ] } ]
-      []
-  in
-  let code_hi = image.Asm.base + image.Asm.code_size in
-  checkb "span straddling the code end is SMC-suspect" true
-    (Absint.classify_span image (code_hi - 2, code_hi + 2) = Absint.C_code);
-  checkb "span at the boundary is image data" true
-    (Absint.classify_span image (code_hi, code_hi + 4)
-    = Absint.C_image_data);
-  checkb "last code word is code" true
-    (Absint.classify_span image (code_hi - 4, code_hi) = Absint.C_code);
-  (* and through the analysis: a store whose constant target straddles
-     the section end must convict *)
-  let image2 =
-    Asm.link ~base
-      [ { Asm.name = "kernel_main";
-          items =
-            [ Asm.Ins (at (Movw (3, (code_hi - 2) land 0xFFFF)));
-              Asm.Ins (at (Movt (3, (code_hi - 2) lsr 16)));
-              Asm.Ins
-                (at
-                   (Mem
-                      { ld = false; size = Word; rt = 0; rn = 3;
-                        off = Oimm 0; idx = Offset }));
-              Asm.Ins ret ] } ]
-      []
-  in
-  let r = Absint.analyze (Cfg.build image2) in
-  let v = verdict_of r "kernel_main" in
-  checkb "straddling store convicts" true (not v.Absint.v_clean)
-
 let () =
   Alcotest.run "certify"
     [ ( "trace certifier",
@@ -434,10 +309,6 @@ let () =
             test_cfg_side_exit_block;
           Alcotest.test_case "indirect call census" `Quick
             test_cfg_indirect_census ] );
-      ( "abstract interpretation",
-        [ Alcotest.test_case "stack discipline proves clean" `Quick
-            test_absint_stack_clean;
-          Alcotest.test_case "SMC store convicts its own word" `Quick
-            test_absint_smc_word_granular;
-          Alcotest.test_case "stores straddling the image end" `Quick
-            test_absint_straddle_end ] ) ]
+      ( "certifier reject census",
+        [ Alcotest.test_case "every refusal counted once" `Quick
+            test_certify_rejects_once ] ) ]

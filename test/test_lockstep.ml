@@ -35,10 +35,17 @@ type snap = {
   s_wr_bytes : int;
   s_now : int;
   s_counters : (string * int) list;
-  s_events : (int * int) list;  (** (code, time) per phase event *)
+  s_events : (int * int) list;
+      (** (code, time) per phase event, every cycle's, oldest first *)
 }
 
-let snap_of (ark : Ark_run.t) =
+(* the phase log holds one cycle's marks: gather each cycle's after it *)
+let cycle_events (ark : Ark_run.t) =
+  List.rev_map
+    (fun (e : Ark_run.phase_event) -> (e.ev_code, e.ev_time_ns))
+    ark.Ark_run.events
+
+let snap_of (ark : Ark_run.t) ~events =
   let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
   let m3 = soc.Soc.m3 in
   { s_cpu_cycles = soc.Soc.cpu.Core.busy_cycles;
@@ -51,10 +58,7 @@ let snap_of (ark : Ark_run.t) =
     s_wr_bytes = m3.Core.cache.Cache.wr_bytes;
     s_now = soc.Soc.clock.Clock.now;
     s_counters = Counters.snapshot ark.Ark_run.ark.Ark.counters;
-    s_events =
-      List.map
-        (fun (e : Ark_run.phase_event) -> (e.ev_code, e.ev_time_ns))
-        ark.Ark_run.events }
+    s_events = events }
 
 let pp_snap s =
   Printf.sprintf
@@ -75,12 +79,14 @@ let run_cycles ?(superblock = false) ?mode ~quantum ~cycles () =
     | Some m -> Ark_run.create ~mode:m ~quantum ()
     | None -> Ark_run.create ~superblock ~quantum ()
   in
+  let events = ref [] in
   for _ = 1 to cycles do
-    match Ark_run.suspend_resume_cycle ark with
+    (match Ark_run.suspend_resume_cycle ark with
     | `Ok -> ()
-    | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r
+    | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);
+    events := !events @ cycle_events ark
   done;
-  (snap_of ark, ark)
+  (snap_of ark ~events:!events, ark)
 
 (* --------------------- quantum=1 byte-identity ----------------------- *)
 
@@ -123,12 +129,14 @@ let test_slicing_not_vacuous () =
 
 let run_concurrent ~domains =
   let ark = Ark_run.create ~quantum:20_000 () in
+  let events = ref [] in
   for _ = 1 to 2 do
-    match Ark_run.concurrent_cycle ~domains ark with
+    (match Ark_run.concurrent_cycle ~domains ark with
     | `Ok -> ()
-    | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r
+    | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);
+    events := !events @ cycle_events ark
   done;
-  (snap_of ark, ark)
+  (snap_of ark ~events:!events, ark)
 
 let test_concurrent_interleave_eq_domains () =
   let a, _ = run_concurrent ~domains:false in

@@ -41,8 +41,17 @@ let ram_digest (soc : Soc.t) =
   Mem.digest mem ~lo:mem.Mem.ram_base
     ~hi:(mem.Mem.ram_base + Bytes.length mem.Mem.ram)
 
+(* the current cycle's phase log, oldest first: (code, time) pairs *)
+let cycle_events (ark : Ark_run.t) =
+  J.Arr
+    (List.rev_map
+       (fun (e : Ark_run.phase_event) ->
+         J.Arr [ J.Int e.Ark_run.ev_code; J.Int e.Ark_run.ev_time_ns ])
+       ark.Ark_run.events)
+
 (* every simulated observable a manifest would be built from: RAM,
-   simulated time, kernel counters, cumulative sleep, phase events *)
+   simulated time, kernel counters, cumulative sleep, and the last
+   cycle's phase events *)
 let observables (ark : Ark_run.t) (soc : Soc.t) =
   let counters =
     List.sort compare
@@ -56,7 +65,7 @@ let observables (ark : Ark_run.t) (soc : Soc.t) =
            J.Obj (List.map (fun (k, v) -> (k, J.Int v)) counters) );
          ( "sleep_total",
            J.Int ark.Ark_run.nat.Native_run.sleep_ns_total );
-         ("events", J.Int (List.length ark.Ark_run.events)) ])
+         ("events", cycle_events ark) ])
 
 let cycle_ms (ark : Ark_run.t) ms =
   ark.Ark_run.nat.Native_run.sleep_ns <- ms * 1_000_000;
@@ -94,9 +103,16 @@ let test_fork_isolation () =
 
 let trace = [ 3; 5; 7 ]
 
+(* the end-state observables plus every cycle's phase events *)
 let run_trace ark soc =
-  List.iter (cycle_ms ark) trace;
-  observables ark soc
+  let per_cycle =
+    List.map
+      (fun ms ->
+        cycle_ms ark ms;
+        cycle_events ark)
+      trace
+  in
+  J.to_string (J.Arr per_cycle) ^ observables ark soc
 
 let test_restore_replays_byte_identical () =
   let ark, w, soc = mk () in
